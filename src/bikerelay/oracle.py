@@ -18,7 +18,7 @@ from typing import Callable
 
 from .generators import cyclic_matrix
 from .optimality import decide_optimal
-from .scheme import BinaryScheme, binary_dual
+from .scheme import BinaryScheme
 from .simulate import SpeedModel, _greedy_is_stall_free, _stage_ticks
 
 EXHAUSTIVE_GUARD = 7
@@ -152,27 +152,29 @@ def cross_validate(
 def random_uniform(n: int, k: int, rng: random.Random) -> BinaryScheme:
     """A random n x n matrix with all line sums k.
 
-    Built as a union of k pairwise disjoint random permutation
-    matrices (every uniform matrix is such a union), sampling
-    permutations by rejection; for k > n/2 the complement is sampled
-    instead.  Not a uniform distribution over uniform matrices, which
-    no caller here needs.
+    Starts from cyclic_matrix(n, k) with its rows and columns shuffled,
+    then makes n*n attempts at a Ryser interchange: pick two rows and
+    two columns at random and, when the 2x2 submatrix they cut out is
+    [[1, 0], [0, 1]] or [[0, 1], [1, 0]], flip it.  Every interchange
+    keeps all line sums, and any two matrices with the same line sums
+    are linked by interchanges (Ryser 1957).  The running time is
+    O(n^2) whatever k is.  Not a uniform distribution over uniform
+    matrices, which no caller here needs.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"bad parameters n={n}, k={k}")
-    if 2 * k > n:
-        return binary_dual(random_uniform(n, n - k, rng))
-    taken: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(k):
-        while True:
-            perm = rng.sample(range(n), n)
-            if all(perm[i] not in taken[i] for i in range(n)):
-                break
-        for i in range(n):
-            taken[i].add(perm[i])
-    return BinaryScheme(
-        tuple(1 if j in taken[i] else 0 for j in range(n)) for i in range(n)
-    )
+    rows = list(cyclic_matrix(n, k).rows)
+    rng.shuffle(rows)
+    cols = list(range(n))
+    rng.shuffle(cols)
+    a = [[row[c] for c in cols] for row in rows]
+    for _ in range(n * n):
+        i1, i2 = divmod(rng.randrange(n * n), n)
+        j1, j2 = divmod(rng.randrange(n * n), n)
+        if a[i1][j1] == a[i2][j2] != a[i1][j2] == a[i2][j1]:
+            a[i1][j1] = a[i2][j2] = 1 - a[i1][j1]
+            a[i1][j2] = a[i2][j1] = 1 - a[i1][j2]
+    return BinaryScheme(a)
 
 
 def determinant_exact(M: BinaryScheme) -> int:

@@ -78,7 +78,7 @@ def _equal_sum_pairings(M: BinaryScheme) -> int:
 
     Swapping a tied pair's tails never creates or destroys ties
     elsewhere, so this closed form on the unmodified matrix equals the
-    swap count of reduce_scheme; kept as an independent cross-check.
+    swap count of reduce_scheme.
     """
     n, m = M.n, M.m
     total = 0
@@ -99,10 +99,16 @@ def _equal_sum_pairings(M: BinaryScheme) -> int:
 def count_excess_handovers(M: BinaryScheme) -> int:
     """The number of removable handovers; the swap count of reduce_scheme.
 
+    Counted in one pass by the closed form over tied droppers and
+    takers, without performing the swaps.
+
     Raises:
         ValueError: M does not decide optimal.
     """
-    return reduce_scheme(M)[1]
+    verdict = decide_optimal(M)
+    if not verdict.optimal:
+        raise ValueError(f"scheme is not optimal ({verdict.reason})")
+    return _equal_sum_pairings(M)
 
 
 def count_rides(M: BinaryScheme) -> RideStats:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import IO
 
 from .optimality import AssignmentPlan, _structural_violation
@@ -308,64 +309,96 @@ class CohortProfile:
     mixed_mode_colocation: bool
 
 
-def _position_and_mode(trace: SimulationTrace, i: int, t: Fraction):
-    """Where traveller i is at time t and whether they are mid-ride."""
-    arr = trace.post_arrival_times[i]
-    dep = trace.depart_times[i]
-    row = trace.scheme.rows[i]
-    m = trace.scheme.m
-    if t >= arr[m]:
-        return Fraction(m), False
-    for j in range(m):
-        if t < dep[j]:
-            return Fraction(j), False
-        if t < arr[j + 1]:
-            speed = (
-                trace.speeds.cycle_speed if row[j] else trace.speeds.walk_speed
-            )
-            return j + (t - dep[j]) * speed, bool(row[j])
-    return Fraction(m), False
-
-
 def cohort_profile(trace: SimulationTrace) -> CohortProfile:
     """Sample a stall-free trace at every event time and midpoint.
 
-    Positions are piecewise linear between events, so counts and gap
-    extrema over an interval show up either at its ends or at a single
-    interior sample; one midpoint per interval therefore suffices.
+    The samples are every arrival and departure time plus the midpoint
+    of each pair of consecutive ones.  Positions are piecewise linear
+    between events, so counts and gap extrema over an interval show up
+    either at its ends or at a single interior sample; one midpoint per
+    interval therefore suffices.
+
+    The sweep runs on an exact integer clock.  A tick is 1/T with T
+    twice the lcm of the time denominators, so every midpoint is a
+    whole tick; a stage is T*D position units with D the lcm of the two
+    speed denominators, so a traveller moves a whole number of units
+    per tick.  Each traveller keeps a pointer into their own departures
+    and arrivals that only moves forward as the samples ascend, so S
+    samples (S < 2n(2m+1)) cost O(S * n log n) integer operations.
+    The gap and spread come back as Fractions.
 
     Raises:
         ValueError: the trace has stalls.
     """
     if trace.stall_events:
         raise ValueError("cohort profile requires a stall-free trace")
-    times = {t for row in trace.post_arrival_times for t in row}
-    times.update(t for row in trace.depart_times for t in row)
-    ordered = sorted(times)
-    samples = list(ordered)
-    samples.extend(
-        (a + b) / 2 for a, b in zip(ordered, ordered[1:])
+    arrivals, departures = trace.post_arrival_times, trace.depart_times
+    T = 2 * lcm(*{t.denominator for row in arrivals + departures for t in row})
+    walk, cycle = trace.speeds.walk_speed, trace.speeds.cycle_speed
+    D = lcm(walk.denominator, cycle.denominator)
+    unit = T * D
+    # Position units covered per tick, walking and riding.
+    pace = (
+        walk.numerator * (D // walk.denominator),
+        cycle.numerator * (D // cycle.denominator),
     )
-    samples.sort()
 
-    n = trace.scheme.n
+    n, m = trace.scheme.n, trace.scheme.m
+    # edges[i] lists traveller i's ticks depart 0, arrive 1, depart 1,
+    # ..., arrive m: before edges[i][2j] they wait at post j, before
+    # edges[i][2j+1] they are on stage j.
+    edges = [
+        [
+            t.numerator * (T // t.denominator)
+            for pair in zip(departures[i], arrivals[i][1:])
+            for t in pair
+        ]
+        for i in range(n)
+    ]
+    times = {row[0].numerator * (T // row[0].denominator) for row in arrivals}
+    for e in edges:
+        times.update(e)
+    ordered = sorted(times)
+    samples = ordered[:1]
+    for a, b in zip(ordered, ordered[1:]):
+        samples.append((a + b) // 2)
+        samples.append(b)
+
+    rows = trace.scheme.rows
+    end = 2 * m
+    ptr = [0] * n
     max_positions = 1
-    max_gap = ZERO
-    max_spread = ZERO
+    max_gap = 0
+    max_spread = 0
     mixed = False
-    for t in samples:
-        spots: dict[Fraction, set[bool]] = {}
+    for tau in samples:
+        # Position -> modes held there: 1 walking or waiting, 2 riding.
+        spots: dict[int, int] = {}
         for i in range(n):
-            pos, riding = _position_and_mode(trace, i, t)
-            spots.setdefault(pos, set()).add(riding)
+            e = edges[i]
+            p = ptr[i]
+            while p < end and e[p] <= tau:
+                p += 1
+            ptr[i] = p
+            j, moving = divmod(p, 2)
+            if moving:
+                riding = rows[i][j]
+                pos = j * unit + (tau - e[p - 1]) * pace[riding]
+                spots[pos] = spots.get(pos, 0) | (2 if riding else 1)
+            else:
+                pos = j * unit
+                spots[pos] = spots.get(pos, 0) | 1
         here = sorted(spots)
         max_positions = max(max_positions, len(here))
         max_spread = max(max_spread, here[-1] - here[0])
         for a, b in zip(here, here[1:]):
-            max_gap = max(max_gap, b - a)
-        if any(len(modes) > 1 for modes in spots.values()):
+            if b - a > max_gap:
+                max_gap = b - a
+        if not mixed and 3 in spots.values():
             mixed = True
-    return CohortProfile(max_positions, max_gap, max_spread, mixed)
+    return CohortProfile(
+        max_positions, Fraction(max_gap, unit), Fraction(max_spread, unit), mixed
+    )
 
 
 _EVENT_RANK = {
@@ -417,7 +450,17 @@ def write_trace_csv(trace: SimulationTrace, out: IO[str]):
         rows.append((s.start + s.wait, s.traveller, s.post, "stall_end", ""))
     for h in trace.handover_events:
         rows.append((h.time, h.taker, h.post, "handover", h.bike))
-    rows.sort(key=lambda r: (r[0], r[1], _EVENT_RANK[r[3]], r[2]))
+    # Sorting on whole ticks of 1/T orders rows exactly as their
+    # Fraction times would, without Fraction comparisons.
+    T = lcm(*{r[0].denominator for r in rows})
+    rows.sort(
+        key=lambda r: (
+            r[0].numerator * (T // r[0].denominator),
+            r[1],
+            _EVENT_RANK[r[3]],
+            r[2],
+        )
+    )
 
     writer = csv.writer(out)
     writer.writerow(["time", "traveller", "post", "event", "bike"])

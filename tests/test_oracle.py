@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bikerelay import (
@@ -65,6 +65,7 @@ def test_cross_validate_small():
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 10), st.integers(0, 2**32 - 1))
+@example(40, 20, 0)
 def test_random_uniform_is_uniform(n, k, seed):
     k = min(k, n)
     M = random_uniform(n, k, random.Random(seed))

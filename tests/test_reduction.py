@@ -10,6 +10,7 @@ from bikerelay import (
     count_rides,
     cyclic_matrix,
     decide_optimal,
+    enumerate_uniform,
     parse_scheme,
     random_uniform,
     reduce_scheme,
@@ -100,6 +101,24 @@ def test_excess_handover_count_is_a_boundary_sum():
                 takes = sum(1 for i in cut.x01 if S.table[i][b + 1] == v)
                 total += min(drops, takes)
         assert count_excess_handovers(M) == total
+
+
+def test_excess_count_equals_the_reduction_swap_count():
+    schemes = []
+    for n in range(1, 6):
+        for k in range(n + 1):
+            enumerate_uniform(n, k, lambda M, optimal: schemes.append(M))
+    assert len(schemes) == 4482  # every uniform matrix with n <= 5
+    for n in range(1, 26):
+        for k in range(1, n + 1):
+            schemes.append(transpose_cyclic_matrix(n, k))
+    for M in schemes:
+        assert count_excess_handovers(M) == reduce_scheme(M)[1], M.rows
+
+
+def test_excess_count_rejects_non_optimal_schemes(split_riders_swapped):
+    with pytest.raises(ValueError):
+        count_excess_handovers(split_riders_swapped)
 
 
 def test_transpose_cyclic_closed_forms():

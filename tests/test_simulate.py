@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 from fractions import Fraction
@@ -7,11 +8,15 @@ import pytest
 from bikerelay import (
     AssignmentPlan,
     DeadlockError,
+    CohortProfile,
     SpeedModel,
+    block_compose,
     build_assignment_plan,
     cohort_profile,
     cyclic_matrix,
     decide_optimal,
+    default_block_cells,
+    enumerate_uniform,
     first_stall_ride_index,
     is_executable_without_stall,
     parse_scheme,
@@ -23,6 +28,9 @@ from bikerelay import (
 )
 
 HALF = SpeedModel(1, 2)
+# Non-integer speeds on both sides, so times and positions have
+# unrelated denominators.
+ODD = SpeedModel(Fraction(2, 3), Fraction(7, 5))
 
 
 def test_speed_model_validation():
@@ -144,6 +152,81 @@ def test_cohort_profile_stays_tight():
         assert prof.max_adjacent_gap < 1
 
 
+def _reference_position_and_mode(trace, i, t):
+    """Where traveller i is at time t and whether they are mid-ride."""
+    arr = trace.post_arrival_times[i]
+    dep = trace.depart_times[i]
+    row = trace.scheme.rows[i]
+    m = trace.scheme.m
+    if t >= arr[m]:
+        return Fraction(m), False
+    for j in range(m):
+        if t < dep[j]:
+            return Fraction(j), False
+        if t < arr[j + 1]:
+            speed = trace.speeds.cycle_speed if row[j] else trace.speeds.walk_speed
+            return j + (t - dep[j]) * speed, bool(row[j])
+    return Fraction(m), False
+
+
+def _reference_cohort_profile(trace):
+    """Locate every traveller afresh, in Fractions, at each sample."""
+    times = {t for row in trace.post_arrival_times for t in row}
+    times.update(t for row in trace.depart_times for t in row)
+    ordered = sorted(times)
+    samples = sorted(ordered + [(a + b) / 2 for a, b in zip(ordered, ordered[1:])])
+    max_positions = 1
+    max_gap = max_spread = Fraction(0)
+    mixed = False
+    for t in samples:
+        spots = {}
+        for i in range(trace.scheme.n):
+            pos, riding = _reference_position_and_mode(trace, i, t)
+            spots.setdefault(pos, set()).add(riding)
+        here = sorted(spots)
+        max_positions = max(max_positions, len(here))
+        max_spread = max(max_spread, here[-1] - here[0])
+        for a, b in zip(here, here[1:]):
+            max_gap = max(max_gap, b - a)
+        mixed = mixed or any(len(modes) > 1 for modes in spots.values())
+    return CohortProfile(max_positions, max_gap, max_spread, mixed)
+
+
+def _cohort_reference_cases():
+    for n in range(1, 13):
+        for k in range(n + 1):
+            M = transpose_cyclic_matrix(n, k)
+            for speeds in (SpeedModel(1, Fraction(3, 2)), ODD, SpeedModel(1, 100)):
+                yield simulate(M, speeds)
+    for n, k in ((4, 2), (6, 4), (9, 6)):
+        for r in (1, 2, 3):
+            yield simulate(block_compose(n, k, r, default_block_cells(n, k, r)), ODD)
+    five_two = []
+    enumerate_uniform(5, 2, lambda M, optimal: five_two.append(M))
+    for M in five_two:
+        yield simulate(M, ODD)
+
+
+def test_cohort_profile_equals_the_fraction_reference():
+    # Nobody waits in a stall-free run, so each trajectory is fixed by
+    # its own row and the profile by the multiset of rows: the slow
+    # reference runs once per multiset (22 of them among the 2040
+    # (5,2) matrices), the sweep on every trace.
+    reference = {}
+    seen = set()
+    for tr in _cohort_reference_cases():
+        assert tr.stall_events == ()
+        key = (tuple(sorted(tr.scheme.rows)), tr.speeds)
+        if key not in reference:
+            reference[key] = _reference_cohort_profile(tr)
+        got = cohort_profile(tr)
+        assert got == reference[key], (tr.scheme.rows, tr.speeds)
+        seen.add((got.max_positions, got.mixed_mode_colocation))
+    # The cases reach every shape the sweep distinguishes.
+    assert {True, False} == {mixed for _, mixed in seen}
+    assert max(positions for positions, _ in seen) >= 12
+
+
 def test_cohort_profile_rejects_stalled_runs(split_riders_swapped):
     tr = simulate(split_riders_swapped, HALF)
     with pytest.raises(ValueError):
@@ -177,6 +260,61 @@ def test_trace_csv_golden():
         "3/2,0,2,arrive,\r\n"
         "3/2,1,2,arrive,0\r\n"
     )
+
+
+_REFERENCE_RANK = {
+    "arrive": 0,
+    "stall_begin": 1,
+    "stall_end": 2,
+    "handover": 3,
+    "depart_walk": 4,
+    "depart_ride": 4,
+}
+
+
+def _reference_trace_csv(trace):
+    """The trace CSV with rows sorted on their Fraction times."""
+    rows = []
+    for i in range(trace.scheme.n):
+        for j in range(trace.scheme.m):
+            bike = trace.stage_bike[i][j]
+            bike = "" if bike is None else bike
+            event = "depart_ride" if trace.scheme.rows[i][j] else "depart_walk"
+            rows.append((trace.depart_times[i][j], i, j, event, bike))
+            rows.append((trace.post_arrival_times[i][j + 1], i, j + 1, "arrive", bike))
+    for s in trace.stall_events:
+        rows.append((s.start, s.traveller, s.post, "stall_begin", ""))
+        rows.append((s.start + s.wait, s.traveller, s.post, "stall_end", ""))
+    for h in trace.handover_events:
+        rows.append((h.time, h.taker, h.post, "handover", h.bike))
+    rows.sort(key=lambda r: (r[0], r[1], _REFERENCE_RANK[r[3]], r[2]))
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["time", "traveller", "post", "event", "bike"])
+    for t, traveller, post, event, bike in rows:
+        writer.writerow([f"{t.numerator}/{t.denominator}", traveller, post, event, bike])
+    return out.getvalue()
+
+
+def test_trace_csv_equals_the_fraction_sorted_reference(split_riders, split_riders_swapped):
+    rng = random.Random(63)
+    stalling = []
+    while len(stalling) < 6:
+        M = random_uniform(6, 3, rng)
+        if not decide_optimal(M).optimal:
+            stalling.append(M)
+    schemes = [split_riders, split_riders_swapped, *stalling]
+    schemes += [transpose_cyclic_matrix(9, 4), cyclic_matrix(10, 3)]
+    traces = [
+        simulate(M, speeds)
+        for M in schemes
+        for speeds in (HALF, ODD, SpeedModel(1, 10))
+    ]
+    assert sum(1 for tr in traces if tr.stall_events) >= 3 * 7
+    for tr in traces:
+        out = io.StringIO()
+        write_trace_csv(tr, out)
+        assert out.getvalue() == _reference_trace_csv(tr), tr.scheme.rows
 
 
 def test_stalls_appear_in_trace(split_riders_swapped):
