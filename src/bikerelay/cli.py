@@ -27,6 +27,7 @@ from .optimality import (
 )
 from .oracle import (
     DEFAULT_SPEED_RATIOS,
+    _stall_probe,
     determinant_exact,
     enumerate_uniform,
 )
@@ -46,7 +47,6 @@ from .scheme import (
 from .simulate import (
     DeadlockError,
     SpeedModel,
-    is_executable_without_stall,
     simulate,
     write_trace_csv,
 )
@@ -217,15 +217,7 @@ def _cmd_sim(args) -> int:
 
 def _cmd_enum(args) -> int:
     mismatches = []
-    probe = None
-    if args.cross_validate:
-        models = [SpeedModel(1, r) for r in DEFAULT_SPEED_RATIOS]
-
-        def probe(M, dyck_optimal):
-            flags = [is_executable_without_stall(M, sm) for sm in models]
-            if any(flag != dyck_optimal for flag in flags):
-                mismatches.append(M)
-
+    probe = _stall_probe(mismatches) if args.cross_validate else None
     report = enumerate_uniform(
         args.n, args.k, probe, force=args.force, max_examples=args.max_examples
     )

@@ -31,6 +31,7 @@ from typing import Iterable, Mapping
 from .scheme import (
     BinaryScheme,
     PrefixSums,
+    _common_sums,
     prefix_sums,
     stage_cut,
     uniformity,
@@ -124,15 +125,22 @@ class PlanCheck:
     violation: PlanViolation | None
 
 
-def _word_letters(M: BinaryScheme, table, b: int, tie_order: TieOrder):
-    """Sorted (letter, row) sequence for boundary b; see canonical_word."""
+def _word_letters(M: BinaryScheme, b: int, tie_order: TieOrder):
+    """Sorted (ride count, kind, row, letter) entries for boundary b; see canonical_word.
+
+    kind is 0 for a dropper (letter a) and 1 for a taker (letter b).
+    """
+    first, second = M.col_masks[b], M.col_masks[b + 1]
+    stages = (1 << (b + 1)) - 1  # columns 0..b
+    masks = M.masks
     entries = []
-    for i, row in enumerate(M.rows):
-        first, second = row[b], row[b + 1]
-        if first == second:
-            continue
-        s = table[i][b + 1]
-        if first:  # dropper
+    moved = first ^ second
+    while moved:
+        low = moved & -moved
+        moved ^= low
+        i = low.bit_length() - 1
+        s = (masks[i] & stages).bit_count()
+        if first & low:  # dropper
             entries.append((s, 0, i, "a"))
         else:  # taker
             entries.append((s, 1, i, "b"))
@@ -159,7 +167,8 @@ def canonical_word(
 
     Args:
         M: a uniform scheme.
-        S: prefix_sums(M).
+        S: prefix_sums(M); the ride counts are read from M's row masks,
+            which hold the same numbers.
         boundary: 0-based, between columns boundary and boundary+1.
         tie_order: tie-break rule, DROP_FIRST by default.
 
@@ -170,7 +179,7 @@ def canonical_word(
         raise ValueError("canonical words are defined for uniform schemes only")
     if not 0 <= boundary <= M.m - 2:
         raise ValueError(f"boundary {boundary} out of range 0..{M.m - 2}")
-    entries = _word_letters(M, S.table, boundary, tie_order)
+    entries = _word_letters(M, boundary, tie_order)
     return CanonicalWord(
         boundary,
         "".join(e[3] for e in entries),
@@ -196,14 +205,54 @@ def dual_reverse_word(w: CanonicalWord | str) -> str:
     return "".join(swap[ch] for ch in reversed(letters))
 
 
-def _skip_boundaries(m: int) -> frozenset:
-    """Boundaries whose words are Dyck for every uniform scheme.
+def _add_column(slices: list[int], col: int) -> None:
+    """Add one ride to every row in col; slices[t] holds bit t of each row's count."""
+    carry = col
+    for t, s in enumerate(slices):
+        if not carry:
+            return
+        slices[t] = s ^ carry
+        carry &= s
+    if carry:
+        slices.append(carry)
 
-    The two outermost boundaries at each end: takers there have ridden
-    at most as much as every dropper, so the word sorts as a-block
-    then b-block (and dually at the far end).
+
+def _is_dyck_at(drop: int, take: int, slices: list[int], take_first: bool) -> bool:
+    """Whether the word of a boundary with these dropper and taker masks is Dyck.
+
+    The word lists rows by ride count, highest first, so it is Dyck iff
+    the running depth (droppers minus takers) never drops below zero
+    over the groups of equal count.  The groups come from splitting the
+    movers on the count slices, top slice first.  A group is split only
+    while its order matters: once the depth before it covers all its
+    takers, no order inside it can go below zero.
     """
-    return frozenset(b for b in (0, 1, m - 3, m - 2) if 0 <= b <= m - 2)
+    depth = 0
+    stack = [(drop | take, len(slices))]
+    while stack:
+        group, t = stack.pop()
+        takers = (group & take).bit_count()
+        if depth >= takers:
+            depth += group.bit_count() - 2 * takers
+            continue
+        end = depth + group.bit_count() - 2 * takers
+        if end < 0:
+            return False
+        if t == 0:
+            # One ride count: drop-first puts the droppers ahead and the
+            # depth ends at its lowest; take-first starts with the takers.
+            if take_first:
+                return False
+            depth = end
+            continue
+        t -= 1
+        high = group & slices[t]
+        low = group ^ high
+        if low:
+            stack.append((low, t))
+        if high:
+            stack.append((high, t))
+    return True
 
 
 def decide_optimal(
@@ -217,32 +266,45 @@ def decide_optimal(
     Dyck.  Non-uniform input yields a "not-uniform" verdict rather
     than an error.
 
+    The scan runs on column masks: the droppers at boundary b are
+    C[b] & ~C[b+1], the takers C[b+1] & ~C[b], and the ride counts so
+    far are kept as bit slices.  The word itself is built only for the
+    failing boundary.
+
     With use_skip_rule, boundaries 0, 1, m-3, m-2 are not scanned and
     the whole scan is dropped when the common row sum l satisfies
     l <= 2 or l >= m-2 (every word is then forced to be Dyck); the
     verdict is identical with and without the flag.
     """
-    uni = uniformity(M)
-    if not uni.is_uniform:
+    sums = _common_sums(M)
+    if sums is None:
         return Verdict(False, None, "not-uniform")
+    k, l = sums
     m = M.m
     if m < 2:
-        return Verdict(True, uni.k, "optimal")
-    if use_skip_rule and (uni.l <= 2 or uni.l >= m - 2):
-        return Verdict(True, uni.k, "optimal")
-    table = prefix_sums(M).table
-    skipped = _skip_boundaries(m) if use_skip_rule else frozenset()
-    for b in range(m - 1):
-        if b in skipped:
+        return Verdict(True, k, "optimal")
+    if use_skip_rule:
+        if l <= 2 or l >= m - 2:
+            return Verdict(True, k, "optimal")
+        # The two outermost boundaries at each end are Dyck for every
+        # uniform scheme: takers there have ridden at most as much as
+        # every dropper, so the word sorts as a-block then b-block (and
+        # dually at the far end).
+        first_scanned, end = 2, m - 3
+    else:
+        first_scanned, end = 0, m - 1
+    take_first = tie_order is TieOrder.TAKE_FIRST
+    cols = M.col_masks
+    slices: list[int] = []
+    for b in range(end):
+        first, second = cols[b], cols[b + 1]
+        _add_column(slices, first)
+        if b < first_scanned:
             continue
-        entries = _word_letters(M, table, b, tie_order)
-        depth = 0
-        for e in entries:
-            depth += 1 if e[3] == "a" else -1
-            if depth < 0:
-                word = "".join(x[3] for x in entries)
-                return Verdict(False, uni.k, "non-dyck", b, word)
-    return Verdict(True, uni.k, "optimal")
+        if not _is_dyck_at(first & ~second, second & ~first, slices, take_first):
+            word = "".join(e[3] for e in _word_letters(M, b, tie_order))
+            return Verdict(False, k, "non-dyck", b, word)
+    return Verdict(True, k, "optimal")
 
 
 def build_assignment_plan(
@@ -261,10 +323,9 @@ def build_assignment_plan(
     verdict = decide_optimal(M, tie_order=tie_order)
     if not verdict.optimal:
         raise ValueError(f"scheme is not optimal ({verdict.reason})")
-    table = prefix_sums(M).table
     maps = []
     for b in range(M.m - 1):
-        entries = _word_letters(M, table, b, tie_order)
+        entries = _word_letters(M, b, tie_order)
         droppers = [e[2] for e in entries if e[3] == "a"]
         takers = [e[2] for e in entries if e[3] == "b"]
         mp = {i: i for i in stage_cut(M, b).x11}

@@ -61,7 +61,9 @@ def enumerate_uniform(
     Columns are generated left to right, choosing each column's
     support in lexicographic order; a row whose missing rides equal
     the remaining columns is forced into every one of them, which
-    prunes dead branches early.  The visitor, when given, is called
+    prunes dead branches early.  The row and column masks are kept up
+    to date while columns are placed, so each matrix is built from
+    them without validation.  The visitor, when given, is called
     once per matrix with (matrix, optimal flag).
 
     Raises:
@@ -75,14 +77,15 @@ def enumerate_uniform(
             f"exhaustive enumeration at n={n} is enormous; pass force=True to insist"
         )
     caps = [k] * n
-    bits: list[list[int]] = [[] for _ in range(n)]
+    masks = [0] * n  # row masks of the columns placed so far
+    cols: list[int] = []
     total = optimal = 0
     examples: list[BinaryScheme] = []
 
     def place(j: int):
         nonlocal total, optimal
         if j == n:
-            M = BinaryScheme(bits)
+            M = BinaryScheme._from_masks(tuple(masks), n, tuple(cols))
             verdict = decide_optimal(M)
             total += 1
             if verdict.optimal:
@@ -100,18 +103,20 @@ def enumerate_uniform(
         need = k - len(forced)
         if need > len(free):
             return
+        bit = 1 << j
         for combo in combinations(free, need):
-            support = set(forced)
-            support.update(combo)
-            for i in range(n):
-                inside = i in support
-                bits[i].append(1 if inside else 0)
-                if inside:
-                    caps[i] -= 1
+            support = forced + list(combo)
+            col = 0
+            for i in support:
+                caps[i] -= 1
+                masks[i] |= bit
+                col |= 1 << i
+            cols.append(col)
             place(j + 1)
-            for i in range(n):
-                if bits[i].pop():
-                    caps[i] += 1
+            cols.pop()
+            for i in support:
+                caps[i] += 1
+                masks[i] ^= bit
 
     place(0)
     return EnumerationReport(
@@ -137,16 +142,29 @@ def cross_validate(
     any disagreement with the word-based verdict (or among the ratios)
     is returned.  An empty list is the expected outcome.
     """
-    ticks = [_stage_ticks(SpeedModel(1, Fraction(r))) for r in speed_ratios]
     mismatches: list[Mismatch] = []
+    enumerate_uniform(n, k, _stall_probe(mismatches, speed_ratios), force=force)
+    return mismatches
+
+
+def _stall_probe(
+    mismatches: list[Mismatch],
+    speed_ratios: tuple[Fraction, ...] = DEFAULT_SPEED_RATIOS,
+) -> Callable[[BinaryScheme, bool], None]:
+    """An enumerate_uniform visitor that executes each matrix greedily.
+
+    The greedy execution runs on the integer clock at every speed
+    ratio; each matrix where it disagrees with the word verdict is
+    appended to mismatches.
+    """
+    ticks = [_stage_ticks(SpeedModel(1, Fraction(r))) for r in speed_ratios]
 
     def probe(M: BinaryScheme, dyck_optimal: bool):
         flags = tuple(_greedy_is_stall_free(M.rows, w, r) for w, r in ticks)
         if any(flag != dyck_optimal for flag in flags):
             mismatches.append(Mismatch(M, dyck_optimal, flags))
 
-    enumerate_uniform(n, k, probe, force=force)
-    return mismatches
+    return probe
 
 
 def random_uniform(n: int, k: int, rng: random.Random) -> BinaryScheme:

@@ -7,7 +7,15 @@ means traveller i rides stage j.  Rows are travellers, columns are
 stages, and "boundary b" refers to the staging post between columns b
 and b+1 (0-based everywhere).
 
-This module holds the matrix data model (validation, cached sums), the
+A scheme is stored as one Python int per row, its row mask: bit j of
+masks[i] is entry (i, j).  The column masks (bit i of col_masks[j] is
+entry (i, j)), the row tuples and the line sums are views derived from
+the row masks on first use and kept from then on.  A ride count up to
+a boundary is a masked bit count, and the optimality decision works on
+whole columns at once, so no per-entry Python loop is needed to parse
+or decide a scheme.
+
+This module holds the matrix data model (validation, cached views), the
 text file format, and the structural transforms used by the rest of the
 package: row permutation, stage reversal, row reversal, the binary dual
 (bit flip), and transposition.
@@ -19,6 +27,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
+_BINARY = frozenset((0, 1))
+# Row entries as bytes to the characters '0' and '1', and back.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_set = object.__setattr__
+
 
 class SchemeFormatError(ValueError):
     """Raised when matrix file text is malformed; carries a line number."""
@@ -29,17 +43,24 @@ class SchemeFormatError(ValueError):
 
 
 class BinaryScheme:
-    """An immutable n x m 0/1 matrix with cached row and column sums.
+    """An immutable n x m 0/1 matrix stored as row bitmasks.
 
     Attributes:
-        rows: tuple of n row tuples, each of m ints in {0, 1}.
+        masks: tuple of n ints; bit j of masks[i] is entry (i, j).
         n: number of travellers (rows).
         m: number of stages (columns).
+        rows: tuple of n row tuples, each of m ints in {0, 1}.
+        col_masks: tuple of m ints; bit i of col_masks[j] is entry (i, j).
         row_sums: per-traveller count of ridden stages.
         col_sums: per-stage count of riders.
+
+    rows, col_masks, row_sums and col_sums are views: each is computed
+    from masks the first time it is read and stored in its slot, so
+    later reads are plain slot reads.  A scheme built from rows keeps
+    them as its rows view.
     """
 
-    __slots__ = ("rows", "n", "m", "row_sums", "col_sums")
+    __slots__ = ("masks", "n", "m", "rows", "col_masks", "row_sums", "col_sums")
 
     def __init__(self, rows: Iterable[Sequence[int]]):
         tup = tuple(tuple(r) for r in rows)
@@ -48,28 +69,60 @@ class BinaryScheme:
         m = len(tup[0])
         if m == 0:
             raise ValueError("a scheme needs at least one stage")
+        masks = []
         for i, row in enumerate(tup):
             if len(row) != m:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {m}")
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError(f"entry ({i},{j}) is {v!r}, expected 0 or 1")
-        object.__setattr__(self, "rows", tup)
-        object.__setattr__(self, "n", len(tup))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "row_sums", tuple(sum(r) for r in tup))
-        object.__setattr__(
-            self, "col_sums", tuple(sum(col) for col in zip(*tup))
-        )
+            masks.append(_row_mask(i, row))
+        _set(self, "masks", tuple(masks))
+        _set(self, "n", len(tup))
+        _set(self, "m", m)
+        _set(self, "rows", tup)
+
+    @classmethod
+    def _from_masks(
+        cls, masks: tuple[int, ...], m: int, col_masks: tuple[int, ...]
+    ) -> "BinaryScheme":
+        """A scheme from its row and column masks, without validation.
+
+        The caller guarantees that the masks fit in m and n bits and
+        describe the same matrix.
+        """
+        self = object.__new__(cls)
+        _set(self, "masks", masks)
+        _set(self, "n", len(masks))
+        _set(self, "m", m)
+        _set(self, "col_masks", col_masks)
+        return self
+
+    def __getattr__(self, name):
+        # Reached only while a view's slot is still empty.
+        if name == "rows":
+            value = _rows_of(self.masks, self.m)
+        elif name == "col_masks":
+            value = _columns_of(self.masks, self.m)
+        elif name == "row_sums":
+            value = tuple(map(int.bit_count, self.masks))
+        elif name == "col_sums":
+            value = tuple(map(int.bit_count, self.col_masks))
+        else:
+            raise AttributeError(f"'BinaryScheme' object has no attribute {name!r}")
+        _set(self, name, value)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryScheme is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, BinaryScheme) and self.rows == other.rows
+        # m takes part: rows (1, 0) and (1, 0, 0) have the same mask.
+        return (
+            isinstance(other, BinaryScheme)
+            and self.m == other.m
+            and self.masks == other.masks
+        )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.m, self.masks))
 
     def __repr__(self):
         return f"BinaryScheme({self.n}x{self.m})"
@@ -77,6 +130,45 @@ class BinaryScheme:
     @property
     def is_square(self) -> bool:
         return self.n == self.m
+
+
+def _row_mask(i: int, row: tuple) -> int:
+    """Validate row i's entries and pack them into a mask, bit j = entry j."""
+    try:
+        binary = _BINARY.issuperset(row)
+    except TypeError:  # an unhashable entry
+        binary = False
+    if not binary:
+        # Equality, not hashing, decides what counts as 0 or 1.
+        for j, v in enumerate(row):
+            if v not in (0, 1):
+                raise ValueError(f"entry ({i},{j}) is {v!r}, expected 0 or 1")
+    try:
+        digits = bytes(row[::-1])
+    except TypeError:  # entries equal to 0 or 1 that are not ints, such as 1.0
+        digits = bytes(v == 1 for v in row[::-1])
+    return int(digits.translate(_TO_DIGITS), 2)
+
+
+def _digit_rows(masks: tuple[int, ...], m: int) -> list[str]:
+    """Each row as m characters '0' or '1', stage 0 first."""
+    fmt = f"0{m}b"
+    return [format(x, fmt)[::-1] for x in masks]
+
+
+def _rows_of(masks: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(row.encode().translate(_FROM_DIGITS)) for row in _digit_rows(masks, m)
+    )
+
+
+def _columns_of(masks: tuple[int, ...], m: int) -> tuple[int, ...]:
+    return _text_columns("".join(_digit_rows(masks, m)), m)
+
+
+def _text_columns(digits: str, m: int) -> tuple[int, ...]:
+    """Column masks of a matrix written row after row as m digits per row."""
+    return tuple(int(digits[j::m][::-1], 2) for j in range(m))
 
 
 @dataclass(frozen=True)
@@ -153,7 +245,8 @@ def parse_scheme(text: str) -> BinaryScheme:
     if n < 1 or m < 1:
         raise SchemeFormatError(header_line, f"dimensions must be positive, got {n}x{m}")
 
-    rows: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    digits: list[str] = []
     for idx in range(body_start, len(lines)):
         stripped = lines[idx].strip()
         if not stripped or stripped.startswith("#"):
@@ -161,25 +254,23 @@ def parse_scheme(text: str) -> BinaryScheme:
         tokens = stripped.split()
         if len(tokens) != m:
             raise SchemeFormatError(idx + 1, f"expected {m} entries, got {len(tokens)}")
-        row = []
-        for tok in tokens:
-            if tok == "0":
-                row.append(0)
-            elif tok == "1":
-                row.append(1)
-            else:
-                raise SchemeFormatError(idx + 1, f"entry {tok!r} not binary")
-        rows.append(tuple(row))
-        if len(rows) == n:
+        bits = "".join(tokens)
+        # m tokens joined into m digits 0 or 1 means every token is "0" or "1".
+        if len(bits) != m or bits.count("0") + bits.count("1") != m:
+            bad = next(tok for tok in tokens if tok not in ("0", "1"))
+            raise SchemeFormatError(idx + 1, f"entry {bad!r} not binary")
+        digits.append(bits)
+        masks.append(int(bits[::-1], 2))
+        if len(masks) == n:
             # Anything non-blank after the last row is a format error.
             for later in range(idx + 1, len(lines)):
                 tail = lines[later].strip()
                 if tail and not tail.startswith("#"):
                     raise SchemeFormatError(later + 1, "trailing data after last row")
             break
-    if len(rows) != n:
-        raise SchemeFormatError(len(lines) or 1, f"expected {n} rows, got {len(rows)}")
-    return BinaryScheme(rows)
+    if len(masks) != n:
+        raise SchemeFormatError(len(lines) or 1, f"expected {n} rows, got {len(masks)}")
+    return BinaryScheme._from_masks(tuple(masks), m, _text_columns("".join(digits), m))
 
 
 def format_scheme(M: BinaryScheme, comment: str | None = None) -> str:
@@ -189,18 +280,25 @@ def format_scheme(M: BinaryScheme, comment: str | None = None) -> str:
         for line in comment.splitlines():
             out.append(f"# {line}".rstrip())
     out.append(f"{M.n} {M.m}")
-    for row in M.rows:
-        out.append(" ".join(str(v) for v in row))
+    out.extend(" ".join(row) for row in _digit_rows(M.masks, M.m))
     return "\n".join(out) + "\n"
 
 
 def uniformity(M: BinaryScheme) -> UniformityReport:
     """Report whether every column sums to one constant k and every row to one constant l."""
-    ks = set(M.col_sums)
-    ls = set(M.row_sums)
+    sums = _common_sums(M)
+    if sums is None:
+        return UniformityReport(False, None, None)
+    return UniformityReport(True, *sums)
+
+
+def _common_sums(M: BinaryScheme) -> tuple[int, int] | None:
+    """(k, l) when every column sums to k and every row to l, else None."""
+    ks = set(map(int.bit_count, M.col_masks))
+    ls = set(map(int.bit_count, M.masks))
     if len(ks) == 1 and len(ls) == 1:
-        return UniformityReport(True, M.col_sums[0], M.row_sums[0])
-    return UniformityReport(False, None, None)
+        return ks.pop(), ls.pop()
+    return None
 
 
 def prefix_sums(M: BinaryScheme) -> PrefixSums:

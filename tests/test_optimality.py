@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +7,15 @@ from hypothesis import strategies as st
 
 from bikerelay import (
     AssignmentPlan,
+    BinaryScheme,
     TieOrder,
+    Verdict,
     binary_dual,
+    block_compose,
     build_assignment_plan,
     canonical_word,
     complementary_plan,
+    cyclic_matrix,
     decide_optimal,
     dual_reverse_word,
     enumerate_uniform,
@@ -21,8 +26,62 @@ from bikerelay import (
     prefix_sums,
     random_uniform,
     reverse_stages,
+    uniformity,
     verify_plan,
 )
+
+
+def reference_word_letters(M, table, b, tie_order):
+    """Sorted (ride count, kind, row, letter) entries of boundary b, row by row."""
+    entries = []
+    for i, row in enumerate(M.rows):
+        first, second = row[b], row[b + 1]
+        if first == second:
+            continue
+        s = table[i][b + 1]
+        if first:  # dropper
+            entries.append((s, 0, i, "a"))
+        else:  # taker
+            entries.append((s, 1, i, "b"))
+    if tie_order is TieOrder.DROP_FIRST:
+        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+    else:
+        entries.sort(key=lambda e: (e[0], e[1], e[2]), reverse=True)
+    return entries
+
+
+def reference_decide(M, use_skip_rule=True, tie_order=TieOrder.DROP_FIRST):
+    """The list scan: prefix table, then every boundary word sorted and walked."""
+    uni = uniformity(M)
+    if not uni.is_uniform:
+        return Verdict(False, None, "not-uniform")
+    m = M.m
+    if m < 2:
+        return Verdict(True, uni.k, "optimal")
+    if use_skip_rule and (uni.l <= 2 or uni.l >= m - 2):
+        return Verdict(True, uni.k, "optimal")
+    table = prefix_sums(M).table
+    skipped = {0, 1, m - 3, m - 2} if use_skip_rule else set()
+    for b in range(m - 1):
+        if b in skipped:
+            continue
+        entries = reference_word_letters(M, table, b, tie_order)
+        depth = 0
+        for e in entries:
+            depth += 1 if e[3] == "a" else -1
+            if depth < 0:
+                word = "".join(x[3] for x in entries)
+                return Verdict(False, uni.k, "non-dyck", b, word)
+    return Verdict(True, uni.k, "optimal")
+
+
+SETTINGS = [(skip, order) for skip in (True, False) for order in TieOrder]
+
+
+def assert_same_verdicts(M):
+    for skip, order in SETTINGS:
+        got = decide_optimal(M, use_skip_rule=skip, tie_order=order)
+        assert got == reference_decide(M, skip, order), (M.rows, skip, order)
 
 
 @pytest.mark.parametrize(
@@ -250,3 +309,79 @@ def test_plan_existence_matches_word_verdict_exhaustively():
         for k in range(0, n + 1):
             enumerate_uniform(n, k, visit)
     assert all(outcomes)
+
+
+def test_decision_equals_the_list_scan_on_every_uniform_5x5():
+    take_first_rejects = []
+
+    def visit(M, optimal):
+        assert_same_verdicts(M)
+        full = decide_optimal(M, use_skip_rule=False, tie_order=TieOrder.TAKE_FIRST)
+        take_first_rejects.append(not full.optimal)
+
+    for k in (2, 3):
+        enumerate_uniform(5, k, visit)
+    assert sum(take_first_rejects) == 2280
+
+
+@st.composite
+def wide_schemes(draw):
+    """Square and rectangular schemes up to 64 rows, optimal or not.
+
+    Block compositions of random optimal cells, random uniform squares,
+    and cyclic matrices; then optionally rows and columns shuffled
+    (column shuffles make most of them non-Dyck) and one bit flipped
+    (never uniform).
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["block", "uniform", "cyclic"]))
+    if kind == "block":
+        n_cell = draw(st.integers(1, 8))
+        k_cell = draw(st.integers(0, n_cell).filter(lambda k: gcd(n_cell, k) == 1 or n_cell == 1))
+        d = draw(st.integers(1, 64 // n_cell))
+        r = draw(st.integers(1, 3))
+        cells = []
+        for _ in range(d):
+            row = []
+            for _ in range(r):
+                cell = random_uniform(n_cell, k_cell, rng)
+                if not reference_decide(cell).optimal:
+                    cell = cyclic_matrix(n_cell, k_cell)
+                row.append(cell)
+            cells.append(row)
+        M = block_compose(d * n_cell, d * k_cell, r, cells)
+    else:
+        n = draw(st.integers(1, 64))
+        k = draw(st.integers(0, n))
+        M = random_uniform(n, k, rng) if kind == "uniform" else cyclic_matrix(n, k)
+    rows = [list(row) for row in M.rows]
+    if draw(st.booleans()):
+        rng.shuffle(rows)
+    if draw(st.booleans()):
+        cols = list(range(M.m))
+        rng.shuffle(cols)
+        rows = [[row[c] for c in cols] for row in rows]
+    if draw(st.integers(0, 3)) == 0:
+        i, j = rng.randrange(M.n), rng.randrange(M.m)
+        rows[i][j] ^= 1
+    return BinaryScheme(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_schemes())
+def test_decision_equals_the_list_scan_up_to_n64(M):
+    assert_same_verdicts(M)
+
+
+def test_decision_equals_the_list_scan_on_permuted_cyclics():
+    rng = random.Random(11)
+    reasons = set()
+    for n in (12, 24, 40, 64):
+        for k in (n // 3, n // 2 - 1):
+            base = cyclic_matrix(n, k)
+            cols = list(range(n))
+            rng.shuffle(cols)
+            M = BinaryScheme([[row[c] for c in cols] for row in base.rows])
+            assert_same_verdicts(M)
+            reasons.add(decide_optimal(M).reason)
+    assert "non-dyck" in reasons

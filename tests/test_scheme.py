@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bikerelay import (
@@ -16,6 +16,87 @@ from bikerelay import (
     transpose,
     uniformity,
 )
+
+def reference_parse(text):
+    """The token-by-token parser: one tuple per row, validated entry by entry."""
+    lines = text.splitlines()
+    header = None
+    header_line = 0
+    body_start = 0
+    for idx, raw in enumerate(lines):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        header = stripped
+        header_line = idx + 1
+        body_start = idx + 1
+        break
+    if header is None:
+        raise SchemeFormatError(len(lines) or 1, "missing header line '<rows> <cols>'")
+    parts = header.split()
+    if len(parts) != 2:
+        raise SchemeFormatError(header_line, f"header must be '<rows> <cols>', got {header!r}")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise SchemeFormatError(header_line, f"header must be two integers, got {header!r}") from None
+    if n < 1 or m < 1:
+        raise SchemeFormatError(header_line, f"dimensions must be positive, got {n}x{m}")
+    rows = []
+    for idx in range(body_start, len(lines)):
+        stripped = lines[idx].strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != m:
+            raise SchemeFormatError(idx + 1, f"expected {m} entries, got {len(tokens)}")
+        row = []
+        for tok in tokens:
+            if tok == "0":
+                row.append(0)
+            elif tok == "1":
+                row.append(1)
+            else:
+                raise SchemeFormatError(idx + 1, f"entry {tok!r} not binary")
+        rows.append(tuple(row))
+        if len(rows) == n:
+            for later in range(idx + 1, len(lines)):
+                tail = lines[later].strip()
+                if tail and not tail.startswith("#"):
+                    raise SchemeFormatError(later + 1, "trailing data after last row")
+            break
+    if len(rows) != n:
+        raise SchemeFormatError(len(lines) or 1, f"expected {n} rows, got {len(rows)}")
+    return BinaryScheme(rows)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except SchemeFormatError as exc:
+        return f"SchemeFormatError: {exc}"
+
+
+@st.composite
+def matrix_texts(draw):
+    """Matrix files, mostly almost right: bad tokens, ragged, missing or extra rows."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    seps = st.sampled_from([" ", "  ", "\t", " \t "])
+    token = st.sampled_from(["0", "1"] * 12 + ["2", "01", "x"])
+    lines = draw(st.lists(st.sampled_from(["", "   ", "# note", "  # indented"]), max_size=2))
+    good = [f"{n} {m}"] * 6 + [f"{n}\t{m}", f" {n}  {m} "]
+    lines.append(draw(st.sampled_from(good + [f"{n} {m} 1", "x 2", f"{n}", "0 3"])))
+    for _ in range(n + draw(st.sampled_from([0] * 6 + [-1, 1]))):
+        width = m + draw(st.sampled_from([0] * 10 + [-1, 1]))
+        tokens = draw(st.lists(token, min_size=width, max_size=width))
+        line = ""
+        for tok in tokens:
+            line += draw(seps) + tok if line else tok
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " "])))
+        lines.extend(draw(st.lists(st.sampled_from(["", "# c", "\t"]), max_size=1)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
 
 matrices = st.integers(1, 6).flatmap(
     lambda n: st.integers(1, 8).flatmap(
@@ -128,3 +209,50 @@ def test_scheme_usable_as_dict_key():
     b = BinaryScheme(((1, 0), (0, 1)))
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
+
+
+@settings(max_examples=250, deadline=None)
+@given(matrix_texts())
+def test_parse_equals_the_token_parser(text):
+    got = outcome(parse_scheme, text)
+    want = outcome(reference_parse, text)
+    assert got == want
+    if isinstance(got, BinaryScheme):
+        assert got.rows == want.rows
+        assert got.col_sums == want.col_sums and got.row_sums == want.row_sums
+
+
+@pytest.mark.parametrize("bad", [2, -1, "1", 0.5, None, [1]])
+def test_scheme_rejects_non_binary_entries(bad):
+    with pytest.raises(ValueError) as exc:
+        BinaryScheme(((1, 0, 1), (0, bad, 1)))
+    assert str(exc.value) == f"entry (1,1) is {bad!r}, expected 0 or 1"
+
+
+def test_scheme_accepts_true_and_float_one():
+    M = BinaryScheme(((True, 0), (1.0, False)))
+    assert M == BinaryScheme(((1, 0), (1, 0)))
+    assert M.col_sums == (2, 0) and M.row_sums == (1, 1)
+
+
+def test_trailing_zero_columns_make_a_different_scheme():
+    a = BinaryScheme(((1, 0), (0, 1)))
+    b = BinaryScheme(((1, 0, 0), (0, 1, 0)))
+    assert a.masks == b.masks
+    assert a != b
+    assert len({a, b}) == 2
+    again = parse_scheme("2 2\n1 0\n0 1\n")
+    assert a == again and hash(a) == hash(again)
+
+
+@given(matrices)
+def test_mask_views_agree_with_the_rows(M):
+    parsed = parse_scheme(format_scheme(M))
+    for S in (M, parsed):
+        assert S.masks == tuple(sum(v << j for j, v in enumerate(row)) for row in M.rows)
+        assert S.col_masks == tuple(
+            sum(row[j] << i for i, row in enumerate(M.rows)) for j in range(M.m)
+        )
+        assert S.rows == M.rows and S.col_sums == M.col_sums
+        # A view is computed once, then read from its slot.
+        assert S.rows is S.rows and S.col_masks is S.col_masks
