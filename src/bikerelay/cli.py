@@ -21,8 +21,8 @@ from .generators import (
 )
 from .optimality import (
     TieOrder,
+    _word_letters,
     build_assignment_plan,
-    canonical_word,
     decide_optimal,
 )
 from .oracle import (
@@ -42,7 +42,6 @@ from .scheme import (
     SchemeFormatError,
     format_scheme,
     parse_scheme,
-    prefix_sums,
 )
 from .simulate import (
     DeadlockError,
@@ -139,8 +138,8 @@ def _cmd_check(args) -> int:
         pairs.append(("failing_boundary_index", verdict.failing_boundary))
         pairs.append(("failing_word", verdict.failing_word))
         if args.witness:
-            w = canonical_word(M, prefix_sums(M), verdict.failing_boundary, tie_order)
-            pairs.append(("failing_rows", " ".join(str(i) for i in w.rows)))
+            entries = _word_letters(M, verdict.failing_boundary, tie_order)
+            pairs.append(("failing_rows", " ".join(str(e[2]) for e in entries)))
     elif verdict.optimal and args.witness:
         plan = build_assignment_plan(M, tie_order)
         for b in range(plan.boundaries):

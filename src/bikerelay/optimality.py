@@ -255,6 +255,24 @@ def _is_dyck_at(drop: int, take: int, slices: list[int], take_first: bool) -> bo
     return True
 
 
+def _scanned_boundaries(l: int, m: int, use_skip_rule: bool) -> range:
+    """The boundaries whose words decide a uniform scheme with row sum l.
+
+    Without the skip rule that is every boundary 0..m-2.  With it,
+    boundaries 0, 1, m-3, m-2 are left out, and so is everything when
+    l <= 2 or l >= m-2 (every word is then forced to be Dyck).
+    """
+    if not use_skip_rule:
+        return range(max(m - 1, 0))
+    if l <= 2 or l >= m - 2:
+        return range(0)
+    # The two outermost boundaries at each end are Dyck for every
+    # uniform scheme: takers there have ridden at most as much as every
+    # dropper, so the word sorts as a-block then b-block (and dually at
+    # the far end).
+    return range(2, m - 3)
+
+
 def decide_optimal(
     M: BinaryScheme,
     use_skip_rule: bool = True,
@@ -273,33 +291,21 @@ def decide_optimal(
 
     With use_skip_rule, boundaries 0, 1, m-3, m-2 are not scanned and
     the whole scan is dropped when the common row sum l satisfies
-    l <= 2 or l >= m-2 (every word is then forced to be Dyck); the
-    verdict is identical with and without the flag.
+    l <= 2 or l >= m-2 (see _scanned_boundaries); the verdict is
+    identical with and without the flag.
     """
     sums = _common_sums(M)
     if sums is None:
         return Verdict(False, None, "not-uniform")
     k, l = sums
-    m = M.m
-    if m < 2:
-        return Verdict(True, k, "optimal")
-    if use_skip_rule:
-        if l <= 2 or l >= m - 2:
-            return Verdict(True, k, "optimal")
-        # The two outermost boundaries at each end are Dyck for every
-        # uniform scheme: takers there have ridden at most as much as
-        # every dropper, so the word sorts as a-block then b-block (and
-        # dually at the far end).
-        first_scanned, end = 2, m - 3
-    else:
-        first_scanned, end = 0, m - 1
+    scanned = _scanned_boundaries(l, M.m, use_skip_rule)
     take_first = tie_order is TieOrder.TAKE_FIRST
     cols = M.col_masks
     slices: list[int] = []
-    for b in range(end):
+    for b in range(scanned.stop):
         first, second = cols[b], cols[b + 1]
         _add_column(slices, first)
-        if b < first_scanned:
+        if b < scanned.start:
             continue
         if not _is_dyck_at(first & ~second, second & ~first, slices, take_first):
             word = "".join(e[3] for e in _word_letters(M, b, tie_order))

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Callable
 
 from .generators import cyclic_matrix
-from .optimality import decide_optimal
+from .optimality import _add_column, _is_dyck_at, _scanned_boundaries
 from .scheme import BinaryScheme
 from .simulate import SpeedModel, _greedy_is_stall_free, _stage_ticks
 
@@ -66,6 +66,13 @@ def enumerate_uniform(
     them without validation.  The visitor, when given, is called
     once per matrix with (matrix, optimal flag).
 
+    The verdict is decided on the column prefix: placing column b+1
+    tests boundary b, for the boundaries decide_optimal scans, while
+    the prefix is still optimal, and every matrix below the prefix
+    shares the outcome.  Without a visitor, a prefix whose verdict is
+    settled and whose matrices cannot add an example is not descended:
+    the number of its completions is counted instead.
+
     Raises:
         ValueError: k out of range, or n beyond the exhaustive guard
             without force=True.
@@ -76,24 +83,36 @@ def enumerate_uniform(
         raise ValueError(
             f"exhaustive enumeration at n={n} is enormous; pass force=True to insist"
         )
+    scanned = _scanned_boundaries(k, n, True)
+    # Columns placed once the last scanned boundary has been tested.
+    settled_at = scanned[-1] + 2 if scanned else 0
     caps = [k] * n
     masks = [0] * n  # row masks of the columns placed so far
     cols: list[int] = []
     total = optimal = 0
     examples: list[BinaryScheme] = []
+    completions: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def place(j: int):
+    def place(j: int, slices: list[int], ok: bool):
+        # slices holds the ride counts through column j-1, kept only
+        # while a later scanned boundary still needs them.
         nonlocal total, optimal
+        if visitor is None and (not ok or j >= settled_at):
+            if ok or len(examples) >= max_examples:
+                count = _count_completions(n - j, k, caps, completions)
+                total += count
+                if ok:
+                    optimal += count
+                return
         if j == n:
-            M = BinaryScheme._from_masks(tuple(masks), n, tuple(cols))
-            verdict = decide_optimal(M)
             total += 1
-            if verdict.optimal:
+            M = BinaryScheme._from_masks(tuple(masks), n, tuple(cols))
+            if ok:
                 optimal += 1
             elif len(examples) < max_examples:
                 examples.append(M)
             if visitor is not None:
-                visitor(M, verdict.optimal)
+                visitor(M, ok)
             return
         cols_left = n - j
         forced = [i for i in range(n) if caps[i] == cols_left]
@@ -104,6 +123,8 @@ def enumerate_uniform(
         if need > len(free):
             return
         bit = 1 << j
+        test = ok and j - 1 in scanned
+        prev = cols[-1] if test else 0
         for combo in combinations(free, need):
             support = forced + list(combo)
             col = 0
@@ -111,14 +132,21 @@ def enumerate_uniform(
                 caps[i] -= 1
                 masks[i] |= bit
                 col |= 1 << i
+            child_ok = ok
+            if test:
+                child_ok = _is_dyck_at(prev & ~col, col & ~prev, slices, False)
+            child_slices = slices
+            if child_ok and j < settled_at - 1:
+                child_slices = slices.copy()
+                _add_column(child_slices, col)
             cols.append(col)
-            place(j + 1)
+            place(j + 1, child_slices, child_ok)
             cols.pop()
             for i in support:
                 caps[i] += 1
                 masks[i] ^= bit
 
-    place(0)
+    place(0, [], True)
     return EnumerationReport(
         n=n,
         k=k,
@@ -127,6 +155,36 @@ def enumerate_uniform(
         nonoptimal_count=total - optimal,
         minimal_nonoptimal_examples=tuple(examples),
     )
+
+
+def _count_completions(
+    cols_left: int,
+    k: int,
+    caps: list[int],
+    memo: dict[tuple[int, tuple[int, ...]], int],
+) -> int:
+    """How many ways cols_left more columns of sum k meet every row's cap exactly."""
+    key = (cols_left, tuple(sorted(caps)))
+    count = memo.get(key)
+    if count is not None:
+        return count
+    if cols_left == 0:
+        count = 1
+    else:
+        forced = [i for i, c in enumerate(caps) if c == cols_left]
+        free = [i for i, c in enumerate(caps) if 0 < c < cols_left]
+        need = k - len(forced)
+        count = 0
+        if 0 <= need <= len(free):
+            for combo in combinations(free, need):
+                rest = list(caps)
+                for i in forced:
+                    rest[i] -= 1
+                for i in combo:
+                    rest[i] -= 1
+                count += _count_completions(cols_left - 1, k, rest, memo)
+    memo[key] = count
+    return count
 
 
 def cross_validate(

@@ -283,13 +283,42 @@ def first_stall_ride_index(
 ) -> int | None:
     """Ride ordinal attempted at the earliest greedy stall, None if none.
 
-    The earliest stall is by start time, then post, then row.
+    The earliest stall is by start time, then post, then row.  It is
+    found from one pass on the integer clock that assumes nobody
+    stalls: every event before the earliest stall runs on time, and
+    every event a stall delays falls strictly after that stall starts.
+    At each post the takers are served in (arrival, row) order, so the
+    first to stall is the first of rank r whose r-th dropped bicycle
+    arrives after them.
+
+    Raises:
+        DeadlockError: at the first post where takers outnumber the
+            bicycles dropped there.
     """
-    trace = simulate(M, speeds)
-    if not trace.stall_events:
-        return None
-    first = min(trace.stall_events, key=lambda s: (s.start, s.post, s.traveller))
-    return first.ride_index
+    walk_ticks, ride_ticks = _stage_ticks(speeds or DEFAULT_SPEEDS)
+    rows = M.rows
+    n, m = M.n, M.m
+    cur = [0] * n
+    ridden = [0] * n
+    first = None  # (start, post, row, ride index) of the earliest stall so far
+    for j in range(1, m):
+        for i in range(n):
+            if rows[i][j - 1]:
+                cur[i] += ride_ticks
+                ridden[i] += 1
+            else:
+                cur[i] += walk_ticks
+        drops = sorted(cur[i] for i in range(n) if rows[i][j - 1] > rows[i][j])
+        takes = sorted((cur[i], i) for i in range(n) if rows[i][j - 1] < rows[i][j])
+        if len(takes) > len(drops):
+            raise DeadlockError(j)
+        for r, (t_arr, i) in enumerate(takes):
+            if drops[r] > t_arr:
+                stall = (t_arr, j, i, ridden[i] + 1)
+                if first is None or stall < first:
+                    first = stall
+                break
+    return None if first is None else first[3]
 
 
 @dataclass(frozen=True)
@@ -300,7 +329,10 @@ class CohortProfile:
     max_adjacent_gap: largest gap between neighbouring distinct
     positions.  max_spread: largest distance between the leader and
     the straggler.  mixed_mode_colocation: some sampled moment had a
-    walker and a rider at the same position.
+    walker and a rider at the same position.  That holds for every
+    stall-free run whose first stage has both riders and walkers (for
+    a uniform scheme, every 0 < k < n): at t = 0 they all leave post 0
+    together, so the flag says nothing beyond that.
     """
 
     max_positions: int

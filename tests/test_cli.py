@@ -1,11 +1,20 @@
 import io
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from bikerelay import parse_scheme
+from bikerelay import (
+    BinaryScheme,
+    TieOrder,
+    canonical_word,
+    cyclic_matrix,
+    format_scheme,
+    parse_scheme,
+    prefix_sums,
+)
 from bikerelay.cli import run
 
 
@@ -54,6 +63,23 @@ def test_check_witness_lists_word_rows(fixtures_dir):
     assert code == 1
     # Word letters run bbbaaa; rows follow the word order, takers first here.
     assert "failing_rows: 0 1 2 3 4 5" in out
+
+
+def test_check_witness_rows_equal_the_canonical_word(tmp_path):
+    cyclic = cyclic_matrix(24, 8)
+    for seed in (0, 2):
+        cols = list(range(24))
+        random.Random(seed).shuffle(cols)
+        M = BinaryScheme([[row[c] for c in cols] for row in cyclic.rows])
+        target = tmp_path / f"permuted_{seed}.mat"
+        target.write_text(format_scheme(M))
+        for flag, tie_order in (("drop-first", TieOrder.DROP_FIRST), ("take-first", TieOrder.TAKE_FIRST)):
+            code, out, _ = invoke("check", str(target), "--witness", "--tie-order", flag, "--porcelain")
+            assert code == 1
+            lines = dict(line.split(": ", 1) for line in out.splitlines())
+            w = canonical_word(M, prefix_sums(M), int(lines["failing_boundary_index"]), tie_order)
+            assert lines["failing_rows"] == " ".join(map(str, w.rows))
+            assert lines["failing_word"] == w.letters
 
 
 def test_check_witness_prints_plan_for_optimal(fixtures_dir):

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 
 from bikerelay import (
     BinaryScheme,
+    EnumerationReport,
     cross_validate,
     cyclic_matrix,
+    decide_optimal,
     determinant_exact,
     enumerate_uniform,
     random_uniform,
@@ -22,6 +26,111 @@ UNIFORM_COUNTS = {
     4: [1, 24, 90, 24, 1],
     5: [1, 120, 2040, 2040, 120, 1],
 }
+
+
+def reference_enumerate(n, k, visitor=None, *, max_examples=4):
+    """enumerate_uniform as it was before the per-prefix decision.
+
+    Every leaf is built and decided by decide_optimal on its own.
+    """
+    caps = [k] * n
+    masks = [0] * n
+    cols = []
+    total = optimal = 0
+    examples = []
+
+    def place(j):
+        nonlocal total, optimal
+        if j == n:
+            M = BinaryScheme._from_masks(tuple(masks), n, tuple(cols))
+            verdict = decide_optimal(M)
+            total += 1
+            if verdict.optimal:
+                optimal += 1
+            elif len(examples) < max_examples:
+                examples.append(M)
+            if visitor is not None:
+                visitor(M, verdict.optimal)
+            return
+        cols_left = n - j
+        forced = [i for i in range(n) if caps[i] == cols_left]
+        if len(forced) > k:
+            return
+        free = [i for i in range(n) if 0 < caps[i] < cols_left]
+        need = k - len(forced)
+        if need > len(free):
+            return
+        bit = 1 << j
+        for combo in combinations(free, need):
+            support = forced + list(combo)
+            col = 0
+            for i in support:
+                caps[i] -= 1
+                masks[i] |= bit
+                col |= 1 << i
+            cols.append(col)
+            place(j + 1)
+            cols.pop()
+            for i in support:
+                caps[i] += 1
+                masks[i] ^= bit
+
+    place(0)
+    return EnumerationReport(
+        n, k, total, optimal, total - optimal, minimal_nonoptimal_examples=tuple(examples)
+    )
+
+
+MAX_EXAMPLES = (0, 1, 4, 50)
+
+
+def assert_enumeration_equals_reference(n, k, visitor_examples):
+    """Reports and visitor sequences of enumerate_uniform equal the reference's.
+
+    The reference runs once, with a visitor and max_examples=50; its
+    report for fewer examples keeps the first non-optimal matrices in
+    visiting order, which the visitor sequence names.  Returns the
+    visitor sequence.
+    """
+    seen = []
+    ref = reference_enumerate(n, k, lambda M, ok: seen.append((M, ok)), max_examples=50)
+    nonoptimal = [M for M, ok in seen if not ok]
+    assert ref.minimal_nonoptimal_examples == tuple(nonoptimal[:50])
+    for e in MAX_EXAMPLES:
+        want = dataclasses.replace(ref, minimal_nonoptimal_examples=tuple(nonoptimal[:e]))
+        assert enumerate_uniform(n, k, max_examples=e) == want, (n, k, e)
+    for e in visitor_examples:
+        got = []
+        rep = enumerate_uniform(n, k, lambda M, ok: got.append((M, ok)), max_examples=e)
+        assert rep == dataclasses.replace(
+            ref, minimal_nonoptimal_examples=tuple(nonoptimal[:e])
+        ), (n, k, e)
+        assert got == seen, (n, k, e)
+        assert all(type(ok) is bool for _, ok in got)
+    return seen
+
+
+def test_enumeration_equals_the_per_leaf_reference_up_to_n5():
+    for n in range(1, 6):
+        for k in range(n + 1):
+            assert_enumeration_equals_reference(n, k, MAX_EXAMPLES)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_enumeration_equals_the_per_leaf_reference_at_n6(k):
+    seen = assert_enumeration_equals_reference(6, k, (4,))
+    if k == 3:
+        # The prefix verdict also equals the full scan without the skip rule.
+        assert sum(not ok for _, ok in seen) == 9560
+        assert all(ok == decide_optimal(M, use_skip_rule=False).optimal for M, ok in seen)
+
+
+def test_enumeration_counts_settled_prefixes_to_the_known_census():
+    # OEIS A001499: n x n binary matrices with all line sums 2.
+    for n, k in ((7, 2), (7, 5), (8, 2)):
+        rep = enumerate_uniform(n, k, force=True)
+        want = {7: 3_110_940, 8: 187_530_840}[n]
+        assert (rep.total_uniform, rep.optimal_count, rep.nonoptimal_count) == (want, want, 0)
 
 
 @pytest.mark.parametrize("n", sorted(UNIFORM_COUNTS))

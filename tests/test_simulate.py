@@ -87,6 +87,41 @@ def test_deadlock_when_bicycles_appear():
     assert exc.value.post == 1
 
 
+def reference_first_stall_ride_index(M, speeds=None):
+    """first_stall_ride_index as it was: the earliest stall of a full simulation."""
+    trace = simulate(M, speeds)
+    if not trace.stall_events:
+        return None
+    first = min(trace.stall_events, key=lambda s: (s.start, s.post, s.traveller))
+    return first.ride_index
+
+
+def test_first_stall_equals_the_simulated_reference(split_riders, split_riders_swapped):
+    # Without a visitor, max_examples=9560 collects every stalling (6,3) matrix.
+    stalling = enumerate_uniform(6, 3, max_examples=9560).minimal_nonoptimal_examples
+    assert len(stalling) == 9560
+    cases = [split_riders, split_riders_swapped, *stalling]
+    for ratio in (Fraction(3, 2), Fraction(2), Fraction(10)):
+        speeds = SpeedModel(1, ratio)
+        for M in cases:
+            want = reference_first_stall_ride_index(M, speeds)
+            assert first_stall_ride_index(M, speeds) == want, (M.rows, ratio)
+    for speeds in (None, HALF, ODD):
+        assert first_stall_ride_index(split_riders_swapped, speeds) == 3
+        assert first_stall_ride_index(split_riders, speeds) is None
+
+
+def test_first_stall_raises_the_simulated_deadlock():
+    # Row 1 stalls at post 3 for the bicycle row 0 brings, and still the
+    # deadlock at post 4 wins, as in simulate.
+    M = parse_scheme("2 5\n0 0 1 0 1\n1 1 0 1 1\n")
+    for find in (simulate, first_stall_ride_index):
+        with pytest.raises(DeadlockError) as exc:
+            find(M, HALF)
+        assert exc.value.post == 4
+    assert first_stall_ride_index(parse_scheme("2 4\n0 0 1 0\n1 1 0 1\n"), HALF) == 3
+
+
 def test_plan_policy_agrees_with_greedy_on_optimal(split_riders, handover_free):
     for M in (split_riders, handover_free):
         P = build_assignment_plan(M)
@@ -225,6 +260,16 @@ def test_cohort_profile_equals_the_fraction_reference():
     # The cases reach every shape the sweep distinguishes.
     assert {True, False} == {mixed for _, mixed in seen}
     assert max(positions for positions, _ in seen) >= 12
+
+
+def test_mixed_mode_colocation_marks_only_mixed_first_stages():
+    # At t = 0 the riders and walkers of stage 0 all leave post 0, so
+    # every stall-free run with 0 < k < n sets the flag.
+    for n in range(1, 13):
+        for k in range(n + 1):
+            for speeds in (HALF, ODD, SpeedModel(1, 100)):
+                prof = cohort_profile(simulate(transpose_cyclic_matrix(n, k), speeds))
+                assert prof.mixed_mode_colocation is (0 < k < n), (n, k, speeds)
 
 
 def test_cohort_profile_rejects_stalled_runs(split_riders_swapped):
