@@ -9,6 +9,7 @@ rejects a scheme, 2 for invalid input or flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -129,7 +130,6 @@ def _cmd_check(args) -> int:
     pairs = [("optimal", _bool(verdict.optimal)), ("reason", verdict.reason)]
     if verdict.k is not None:
         pairs.append(("k", verdict.k))
-    tables = []
     if verdict.reason == "non-dyck":
         # Boundary numbering: the failing post sits between stages
         # failing_boundary and failing_boundary+1 counting from 1,
@@ -145,7 +145,7 @@ def _cmd_check(args) -> int:
         for b in range(plan.boundaries):
             line = " ".join(f"{i}->{j}" for i, j in plan.pairs[b])
             pairs.append((f"plan_boundary_{b + 1}", line))
-    _emit(args, pairs, tables)
+    _emit(args, pairs)
     return 0 if verdict.optimal else 1
 
 
@@ -324,11 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: parse_args builds a fresh Namespace on every call
+# and leaves the parser unchanged, and run never mutates it.
+_parser = functools.cache(build_parser)
+
+
 def run(argv) -> int:
     """Parse and execute a command line; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -214,7 +214,7 @@ def parse_scheme(text: str) -> BinaryScheme:
 
     Format: optional comment lines starting with '#'; the first
     non-comment line is '<rows> <cols>'; then that many rows of
-    space-separated 0/1 tokens.  Trailing newline optional.
+    0/1 tokens separated by any whitespace.  Trailing newline optional.
 
     Raises:
         SchemeFormatError: malformed header, non-binary entry, or
@@ -247,18 +247,29 @@ def parse_scheme(text: str) -> BinaryScheme:
 
     masks: list[int] = []
     digits: list[str] = []
+    width = 2 * m - 1
     for idx in range(body_start, len(lines)):
         stripped = lines[idx].strip()
         if not stripped or stripped.startswith("#"):
             continue
-        tokens = stripped.split()
-        if len(tokens) != m:
-            raise SchemeFormatError(idx + 1, f"expected {m} entries, got {len(tokens)}")
-        bits = "".join(tokens)
-        # m tokens joined into m digits 0 or 1 means every token is "0" or "1".
-        if len(bits) != m or bits.count("0") + bits.count("1") != m:
-            bad = next(tok for tok in tokens if tok not in ("0", "1"))
-            raise SchemeFormatError(idx + 1, f"entry {bad!r} not binary")
+        # A row as format_scheme writes it (m digits 0 or 1 at the even
+        # positions, one " " between them) is read by slicing; any other
+        # line, malformed or not, is tokenised.  Only counts of the line
+        # itself are compared with m, so a huge header m allocates nothing.
+        bits = stripped[::2]
+        if not (
+            len(stripped) == width
+            and stripped.count(" ") == m - 1
+            and bits.count("0") + bits.count("1") == m
+        ):
+            tokens = stripped.split()
+            if len(tokens) != m:
+                raise SchemeFormatError(idx + 1, f"expected {m} entries, got {len(tokens)}")
+            bits = "".join(tokens)
+            # m tokens joined into m digits 0 or 1 means every token is "0" or "1".
+            if len(bits) != m or bits.count("0") + bits.count("1") != m:
+                bad = next(tok for tok in tokens if tok not in ("0", "1"))
+                raise SchemeFormatError(idx + 1, f"entry {bad!r} not binary")
         digits.append(bits)
         masks.append(int(bits[::-1], 2))
         if len(masks) == n:

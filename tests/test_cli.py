@@ -15,7 +15,7 @@ from bikerelay import (
     parse_scheme,
     prefix_sums,
 )
-from bikerelay.cli import run
+from bikerelay.cli import build_parser, run
 
 
 def invoke(*argv):
@@ -263,3 +263,30 @@ def test_gen_check_pipe_round_trip():
     )
     assert chk.returncode == 0
     assert "optimal: true" in chk.stdout
+
+
+def test_successive_runs_share_no_state(fixtures_dir):
+    swapped = str(fixtures_dir / "split_riders_swapped.mat")
+    assert "failing_rows" in invoke("check", swapped, "--witness")[1]
+    code, out, _ = invoke("check", swapped)
+    assert code == 1 and "failing_word: bbbaaa" in out
+    assert "failing_rows" not in out
+
+    plain = str(fixtures_dir / "split_riders.mat")
+    assert "policy: plan" in invoke("sim", plain, "--policy", "plan")[1]
+    code, out, _ = invoke("sim", plain)
+    assert code == 0 and "policy: greedy" in out
+
+    argv = ["check", plain, "--witness", "--porcelain"]
+    code, _, err = invoke("check", plain, "--tie-order", "sideways")
+    assert code == 2 and "invalid choice" in err
+    code, out, err = invoke(*argv)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "bikerelay.cli", *argv], capture_output=True, text=True
+    )
+    assert (code, out, err) == (0, fresh.stdout, fresh.stderr)
+    assert fresh.returncode == 0
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()

@@ -256,3 +256,62 @@ def test_mask_views_agree_with_the_rows(M):
         assert S.rows == M.rows and S.col_sums == M.col_sums
         # A view is computed once, then read from its slot.
         assert S.rows is S.rows and S.col_masks is S.col_masks
+
+
+def test_absurd_header_width_is_rejected_without_allocating_it():
+    # A parser that built anything of length m would raise MemoryError here.
+    with pytest.raises(SchemeFormatError) as exc:
+        parse_scheme("1 1000000000000000000\n0 1\n")
+    assert str(exc.value) == "line 2: expected 1000000000000000000 entries, got 2"
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 3\n0   1\n",  # odd positions are spaces, the middle entry is one too
+        "1 3\n0  10\n",  # right length and space count, a space at an even position
+        "1 3\n010 1\n",  # right length, a digit at an odd position
+        "1 2\n01 0\n",
+        "1 3\n0 1 2\n",
+        "1 3\n0\xa01 0\n",  # a separator that str.split accepts
+        "1 3\n0\u20031\u20030\n",  # em spaces
+        "2 3\n0\t1\t0\n1 \t0  1\n",
+        "2 3\n   0 1 0\n1 0 1   \n",
+        "2 3\r\n0 1 0\r\n1 0 1\r\n",
+        "2 3\r\n0 1 0 \r\n\r\n1\t0 1",
+        "3 1\n1\n0\n1\n",
+        "2 1\n1\n0 1\n",
+        "1 1\n2\n",
+        "1 2\n0 1\n1 0\n",
+        "2 2\n0 1\n",
+        "1 3\n0 1\n",
+        "1 2\n0 1 0\n",
+    ],
+)
+def test_parse_matches_the_token_parser_where_the_slice_test_partly_holds(text):
+    got = outcome(parse_scheme, text)
+    want = outcome(reference_parse, text)
+    assert got == want
+    if isinstance(got, BinaryScheme):
+        assert got.rows == want.rows
+
+
+schemes_up_to_64 = st.integers(1, 64).flatmap(
+    lambda n: st.integers(1, 64).flatmap(
+        lambda m: st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n).map(
+            lambda masks: BinaryScheme(
+                tuple(tuple((x >> j) & 1 for j in range(m)) for x in masks)
+            )
+        )
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(schemes_up_to_64)
+def test_formatted_schemes_parse_back_as_the_token_parser_reads_them(M):
+    text = format_scheme(M)
+    got = parse_scheme(text)
+    assert got == M == reference_parse(text)
+    assert got.rows == M.rows and got.col_masks == M.col_masks
