@@ -12,7 +12,6 @@ from bikerelay import (
     decide_optimal,
     is_dyck,
     parse_scheme,
-    prefix_sums,
     simulate,
 )
 
@@ -31,9 +30,8 @@ BROKEN = parse_scheme(
 def describe(name, M):
     verdict = decide_optimal(M)
     print(f"{name}: optimal={verdict.optimal}")
-    S = prefix_sums(M)
     for b in range(M.m - 1):
-        w = canonical_word(M, S, b)
+        w = canonical_word(M, b)
         marker = "" if is_dyck(w) else "   <- not a Dyck word"
         print(f"  boundary {b}: {w.letters or '(empty)'}{marker}")
     trace = simulate(M)

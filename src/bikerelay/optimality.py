@@ -28,14 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .scheme import (
-    BinaryScheme,
-    PrefixSums,
-    _common_sums,
-    prefix_sums,
-    stage_cut,
-    uniformity,
-)
+from .scheme import BinaryScheme, _common_sums, _mask_rows, uniformity
 
 
 class TieOrder(enum.Enum):
@@ -134,13 +127,9 @@ def _word_letters(M: BinaryScheme, b: int, tie_order: TieOrder):
     stages = (1 << (b + 1)) - 1  # columns 0..b
     masks = M.masks
     entries = []
-    moved = first ^ second
-    while moved:
-        low = moved & -moved
-        moved ^= low
-        i = low.bit_length() - 1
+    for i in _mask_rows(first ^ second):
         s = (masks[i] & stages).bit_count()
-        if first & low:  # dropper
+        if first >> i & 1:  # dropper
             entries.append((s, 0, i, "a"))
         else:  # taker
             entries.append((s, 1, i, "b"))
@@ -155,7 +144,6 @@ def _word_letters(M: BinaryScheme, b: int, tie_order: TieOrder):
 
 def canonical_word(
     M: BinaryScheme,
-    S: PrefixSums,
     boundary: int,
     tie_order: TieOrder = TieOrder.DROP_FIRST,
 ) -> CanonicalWord:
@@ -167,8 +155,6 @@ def canonical_word(
 
     Args:
         M: a uniform scheme.
-        S: prefix_sums(M); the ride counts are read from M's row masks,
-            which hold the same numbers.
         boundary: 0-based, between columns boundary and boundary+1.
         tie_order: tie-break rule, DROP_FIRST by default.
 
@@ -329,12 +315,13 @@ def build_assignment_plan(
     verdict = decide_optimal(M, tie_order=tie_order)
     if not verdict.optimal:
         raise ValueError(f"scheme is not optimal ({verdict.reason})")
+    cols = M.col_masks
     maps = []
     for b in range(M.m - 1):
         entries = _word_letters(M, b, tie_order)
         droppers = [e[2] for e in entries if e[3] == "a"]
         takers = [e[2] for e in entries if e[3] == "b"]
-        mp = {i: i for i in stage_cut(M, b).x11}
+        mp = {i: i for i in _mask_rows(cols[b] & cols[b + 1])}
         mp.update(zip(droppers, takers))
         maps.append(mp)
     return AssignmentPlan.from_maps(maps)
@@ -346,17 +333,17 @@ def _structural_violation(M: BinaryScheme, P: AssignmentPlan) -> PlanViolation |
         raise ValueError(
             f"plan covers {P.boundaries} boundaries, scheme has {M.m - 1}"
         )
+    cols = M.col_masks
     for b in range(M.m - 1):
-        cut = stage_cut(M, b)
         mp = P.mapping(b)
-        need = set(cut.x11) | set(cut.x10)
+        need = set(_mask_rows(cols[b]))
         have = set(mp)
         for i in sorted(need - have):
             return PlanViolation(b, "domain", i, None, f"row {i} rides stage {b} but has no map entry")
         for i in sorted(have - need):
             return PlanViolation(b, "domain", i, mp[i], f"row {i} does not ride stage {b} yet appears in the map")
-        x11 = set(cut.x11)
-        allowed = x11 | set(cut.x01)
+        x11 = set(_mask_rows(cols[b] & cols[b + 1]))
+        allowed = set(_mask_rows(cols[b + 1]))
         for i in sorted(mp):
             if (mp[i] == i) != (i in x11):
                 return PlanViolation(
@@ -392,17 +379,20 @@ def verify_plan(M: BinaryScheme, P: AssignmentPlan) -> PlanCheck:
     v = _structural_violation(M, P)
     if v is not None:
         return PlanCheck(False, v)
-    table = prefix_sums(M).table
+    masks = M.masks
     for b in range(M.m - 1):
+        stages = (1 << (b + 1)) - 1  # columns 0..b
         mp = P.mapping(b)
         for i in sorted(mp):
-            if table[mp[i]][b + 1] > table[i][b + 1]:
+            given = (masks[i] & stages).bit_count()
+            taken = (masks[mp[i]] & stages).bit_count()
+            if taken > given:
                 return PlanCheck(
                     False,
                     PlanViolation(
                         b, "partial-sum", i, mp[i],
-                        f"receiver {mp[i]} has ridden {table[mp[i]][b + 1]} stages, "
-                        f"donor {i} only {table[i][b + 1]}",
+                        f"receiver {mp[i]} has ridden {taken} stages, "
+                        f"donor {i} only {given}",
                     ),
                 )
     return PlanCheck(True, None)
@@ -421,12 +411,14 @@ def complementary_plan(M: BinaryScheme, P: AssignmentPlan) -> AssignmentPlan:
     check = verify_plan(M, P)
     if not check.valid:
         raise ValueError(f"plan is not valid for the scheme: {check.violation}")
+    cols = M.col_masks
+    everyone = (1 << M.n) - 1
     maps = []
     for b in range(M.m - 1):
-        cut = stage_cut(M, b)
+        first, second = cols[b], cols[b + 1]
         mp = P.mapping(b)
         inverse = {v: i for i, v in mp.items() if v != i}
-        comp = {i: i for i in cut.x00}
-        comp.update((i, inverse[i]) for i in cut.x01)
+        comp = {i: i for i in _mask_rows(everyone & ~(first | second))}
+        comp.update((i, inverse[i]) for i in _mask_rows(second & ~first))
         maps.append(comp)
     return AssignmentPlan.from_maps(maps)

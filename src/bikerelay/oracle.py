@@ -19,7 +19,7 @@ from typing import Callable
 from .generators import cyclic_matrix
 from .optimality import _add_column, _is_dyck_at, _scanned_boundaries
 from .scheme import BinaryScheme
-from .simulate import SpeedModel, _greedy_is_stall_free, _stage_ticks
+from .simulate import SpeedModel, _execute, _stage_ticks
 
 EXHAUSTIVE_GUARD = 7
 
@@ -218,7 +218,7 @@ def _stall_probe(
     ticks = [_stage_ticks(SpeedModel(1, Fraction(r))) for r in speed_ratios]
 
     def probe(M: BinaryScheme, dyck_optimal: bool):
-        flags = tuple(_greedy_is_stall_free(M.rows, w, r) for w, r in ticks)
+        flags = tuple(_execute(M, w, r) for w, r in ticks)
         if any(flag != dyck_optimal for flag in flags):
             mismatches.append(Mismatch(M, dyck_optimal, flags))
 

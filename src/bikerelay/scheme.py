@@ -17,8 +17,8 @@ or decide a scheme.
 
 This module holds the matrix data model (validation, cached views), the
 text file format, and the structural transforms used by the rest of the
-package: row permutation, stage reversal, row reversal, the binary dual
-(bit flip), and transposition.
+package: row permutation, stage reversal, the binary dual (bit flip),
+and transposition.
 """
 
 from __future__ import annotations
@@ -150,6 +150,16 @@ def _row_mask(i: int, row: tuple) -> int:
     return int(digits.translate(_TO_DIGITS), 2)
 
 
+def _mask_rows(x: int) -> list[int]:
+    """The set bits of x, lowest first: the rows a column mask holds."""
+    rows = []
+    while x:
+        low = x & -x
+        rows.append(low.bit_length() - 1)
+        x ^= low
+    return rows
+
+
 def _digit_rows(masks: tuple[int, ...], m: int) -> list[str]:
     """Each row as m characters '0' or '1', stage 0 first."""
     fmt = f"0{m}b"
@@ -192,21 +202,6 @@ class PrefixSums:
     """
 
     table: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class StageCut:
-    """The partition of travellers at boundary b by their (col b, col b+1) bits.
-
-    x11 keep riding, x10 drop a bike, x01 take a bike, x00 keep
-    walking.  Indices are ascending row numbers.
-    """
-
-    boundary: int
-    x11: tuple[int, ...]
-    x10: tuple[int, ...]
-    x01: tuple[int, ...]
-    x00: tuple[int, ...]
 
 
 def parse_scheme(text: str) -> BinaryScheme:
@@ -317,31 +312,6 @@ def prefix_sums(M: BinaryScheme) -> PrefixSums:
     return PrefixSums(tuple(tuple(accumulate(row, initial=0)) for row in M.rows))
 
 
-def stage_cut(M: BinaryScheme, boundary: int) -> StageCut:
-    """Partition of travellers by their behavior across the given boundary.
-
-    Args:
-        M: the scheme.
-        boundary: 0-based; between columns boundary and boundary+1,
-            so valid values are 0..m-2.
-    """
-    if not 0 <= boundary <= M.m - 2:
-        raise ValueError(f"boundary {boundary} out of range 0..{M.m - 2}")
-    x11, x10, x01, x00 = [], [], [], []
-    b = boundary
-    for i, row in enumerate(M.rows):
-        pair = (row[b], row[b + 1])
-        if pair == (1, 1):
-            x11.append(i)
-        elif pair == (1, 0):
-            x10.append(i)
-        elif pair == (0, 1):
-            x01.append(i)
-        else:
-            x00.append(i)
-    return StageCut(boundary, tuple(x11), tuple(x10), tuple(x01), tuple(x00))
-
-
 def permute_rows(M: BinaryScheme, pi: Sequence[int]) -> BinaryScheme:
     """Row i of the result is row pi[i] of M.
 
@@ -356,11 +326,6 @@ def permute_rows(M: BinaryScheme, pi: Sequence[int]) -> BinaryScheme:
 def reverse_stages(M: BinaryScheme) -> BinaryScheme:
     """Reverse the column (stage) order."""
     return BinaryScheme(tuple(reversed(row)) for row in M.rows)
-
-
-def reverse_rows(M: BinaryScheme) -> BinaryScheme:
-    """Reverse the row (traveller) order."""
-    return BinaryScheme(reversed(M.rows))
 
 
 def binary_dual(M: BinaryScheme) -> BinaryScheme:

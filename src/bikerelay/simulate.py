@@ -9,10 +9,11 @@ incoming one; simultaneous arrivals are served lowest row first.
 Under a plan policy each traveller waits for the specific bicycle the
 plan assigns.
 
-Times and positions are exact rationals throughout.  Simultaneous
-arrivals (equal ride counts) are exactly the handovers the optimality
-theory relies on, so float rounding would turn ties into races and
-change verdicts.
+Times and positions are exact.  One executor, _execute, counts whole
+ticks of a clock on which both stage durations are integers, and
+simulate turns its ticks into Fractions.  Simultaneous arrivals (equal
+ride counts) are exactly the handovers the optimality theory relies
+on, so float rounding would turn ties into races and change verdicts.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from typing import IO
 
 from .optimality import AssignmentPlan, _structural_violation
-from .scheme import BinaryScheme, stage_cut
-
-ZERO = Fraction(0)
+from .scheme import BinaryScheme, _mask_rows
 
 
 @dataclass(frozen=True)
@@ -127,116 +127,170 @@ def simulate(
     """
     if speeds is None:
         speeds = DEFAULT_SPEEDS
+    givers = None
     if policy == "plan":
         if plan is None:
             raise ValueError("plan policy needs a plan")
         bad = _structural_violation(M, plan)
         if bad is not None:
             raise ValueError(f"malformed plan: {bad}")
+        givers = [{t: g for g, t in pairs if g != t} for pairs in plan.pairs]
     elif policy != "greedy":
         raise ValueError(f"unknown policy {policy!r}")
 
-    n, m = M.n, M.m
-    t_walk = Fraction(1) / speeds.walk_speed
-    t_ride = Fraction(1) / speeds.cycle_speed
-    arrive = [[ZERO] * (m + 1) for _ in range(n)]
-    depart = [[ZERO] * m for _ in range(n)]
-    bikes: list[list[int | None]] = [[None] * m for _ in range(n)]
-    stalls: list[StallEvent] = []
-    handovers: list[HandoverEvent] = []
-    ridden = [0] * n
-
-    # Stage 0: bicycles are numbered by handing 0, 1, ... to the
-    # riders of the first stage in row order.
-    next_bike = 0
-    for i in range(n):
-        if M.rows[i][0]:
-            bikes[i][0] = next_bike
-            next_bike += 1
-
-    for j in range(m):
-        if j > 0:
-            cut = stage_cut(M, j - 1)
-            for i in cut.x00:
-                depart[i][j] = arrive[i][j]
-            for i in cut.x10:
-                # Drop the bicycle at the post and walk on at once.
-                depart[i][j] = arrive[i][j]
-            for i in cut.x11:
-                depart[i][j] = arrive[i][j]
-                bikes[i][j] = bikes[i][j - 1]
-            if policy == "greedy":
-                _greedy_boundary(
-                    M, j, cut, arrive, depart, bikes, ridden, stalls, handovers
-                )
-            else:
-                _plan_boundary(
-                    M, j, cut, plan, arrive, depart, bikes, ridden, stalls, handovers
-                )
-        for i in range(n):
-            step = t_ride if M.rows[i][j] else t_walk
-            arrive[i][j + 1] = depart[i][j] + step
-            ridden[i] += M.rows[i][j]
-
-    makespan = max(arrive[i][m] for i in range(n))
+    log = _Log()
+    _execute(M, *_stage_ticks(speeds), givers, log)
+    # Every departure is some traveller's arrival at the same post, so
+    # the arrivals and the waits hold every tick; each distinct tick
+    # becomes one Fraction, shared by every field that holds it.
+    per_unit = speeds.walk_speed.numerator * speeds.cycle_speed.numerator
+    ticks = set().union(*log.arrive)
+    ticks.update(s[3] for s in log.stalls)
+    at = {x: Fraction(x, per_unit) for x in ticks}.__getitem__
     return SimulationTrace(
         scheme=M,
         speeds=speeds,
         policy=policy,
-        post_arrival_times=tuple(tuple(r) for r in arrive),
-        depart_times=tuple(tuple(r) for r in depart),
-        stage_bike=tuple(tuple(r) for r in bikes),
-        stall_events=tuple(stalls),
-        handover_events=tuple(handovers),
-        makespan=makespan,
+        post_arrival_times=tuple(tuple(map(at, r)) for r in zip(*log.arrive)),
+        depart_times=tuple(tuple(map(at, r)) for r in zip(*log.depart)),
+        stage_bike=tuple(zip(*log.bikes)),
+        stall_events=tuple(
+            StallEvent(i, j, at(start), at(wait), ride)
+            for start, j, i, wait, ride in log.stalls
+        ),
+        handover_events=tuple(
+            HandoverEvent(at(t), j, giver, taker, bike)
+            for t, j, giver, taker, bike in log.handovers
+        ),
+        makespan=at(max(log.arrive[-1])),
     )
 
 
-def _greedy_boundary(M, j, cut, arrive, depart, bikes, ridden, stalls, handovers):
-    """Hand the bicycles dropped at post j to its takers, first come first served."""
-    pool = [(arrive[i][j], bikes[i][j - 1], i) for i in cut.x10]
-    if len(cut.x01) > len(pool):
-        raise DeadlockError(j)
-    for i2 in sorted(cut.x01, key=lambda i: (arrive[i][j], i)):
-        t_arr = arrive[i2][j]
-        parked = [(bike, when, giver) for when, bike, giver in pool if when <= t_arr]
-        if parked:
-            bike, when, giver = min(parked)
-            dep = t_arr
+class _Log:
+    """What _execute records of a run, in ticks and by post.
+
+    arrive[p][i] is when traveller i reaches post p, depart[j][i] when
+    they leave post j and bikes[j][i] the bicycle they ride on stage j
+    (None when walking).  stalls holds (start, post, traveller, wait,
+    ride index) and handovers (time, post, giver, taker, bike), in the
+    order they happen post by post.
+    """
+
+    __slots__ = ("arrive", "depart", "bikes", "stalls", "handovers")
+
+    def __init__(self):
+        self.arrive, self.depart, self.bikes = [], [], []
+        self.stalls, self.handovers = [], []
+
+
+def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> bool:
+    """Run M on the integer clock; whether nobody stalls.
+
+    A stage takes walk or ride whole ticks (see _stage_ticks).  All
+    bicycles start at post 0, numbered 0, 1, ... over the riders of
+    stage 0 in row order.  At post j the droppers are C[j-1] & ~C[j]
+    and the takers C[j] & ~C[j-1], with C the column masks; everybody
+    else leaves on arrival.  With givers None (greedy) the takers are
+    served in (arrival, row) order and the r-th leaves at the later of
+    their arrival and the r-th earliest drop, on the lowest-numbered
+    bicycle parked by then: first come first served.  Otherwise
+    givers[j-1] maps each taker to the dropper whose bicycle they wait
+    for, and the takers are served in row order.
+
+    Without a log the run stops at the first stall, or at the first
+    post with more takers than droppers, and returns False.  With a
+    log (needed for givers) it runs to the end and records every
+    event.
+
+    Raises:
+        DeadlockError: with a log, at the first post where a taker has
+            no bicycle to wait for.
+    """
+    rows, cols, n, m = M.rows, M.col_masks, M.n, M.m
+    cur = [0] * n  # each traveller's tick at the current post
+    bike: list[int | None] = [None] * n
+    if log is not None:
+        for b, i in enumerate(_mask_rows(cols[0])):
+            bike[i] = b
+        log.arrive.append(cur[:])
+    for j in range(1, m + 1 if log is not None else m):
+        if log is not None:
+            log.depart.append(cur[:])
+            log.bikes.append(bike)
+        for i in range(n):
+            cur[i] += ride if rows[i][j - 1] else walk
+        if log is not None:
+            log.arrive.append(cur[:])
+        if j == m:
+            break
+        prev, col = cols[j - 1], cols[j]
+        droppers, takers = _mask_rows(prev & ~col), _mask_rows(col & ~prev)
+        if givers is None and len(takers) > len(droppers):
+            if log is None:
+                return False
+            raise DeadlockError(j)
+        if log is None:
+            if takers:
+                drops = sorted([cur[i] for i in droppers])
+                for r, t_arr in enumerate(sorted([cur[i] for i in takers])):
+                    if drops[r] > t_arr:
+                        return False
+            continue
+        if givers is None:
+            matches = _first_come(takers, droppers, cur, bike)
         else:
-            t_min = min(when for when, _, _ in pool)
-            bike, when, giver = min(
-                (bike, when, giver) for when, bike, giver in pool if when == t_min
-            )
-            dep = t_min
-            stalls.append(StallEvent(i2, j, t_arr, t_min - t_arr, ridden[i2] + 1))
-        pool.remove((when, bike, giver))
-        depart[i2][j] = dep
-        bikes[i2][j] = bike
-        handovers.append(HandoverEvent(dep, j, giver, i2, bike))
+            matches = _as_planned(j, takers, givers[j - 1], cur)
+        held, bike = bike, [b if row[j] else None for b, row in zip(bike, rows)]
+        for taker, giver, dep in matches:
+            t_arr = cur[taker]
+            if dep > t_arr:
+                ride_index = (M.masks[taker] & ((1 << j) - 1)).bit_count() + 1
+                log.stalls.append((t_arr, j, taker, dep - t_arr, ride_index))
+                cur[taker] = dep
+            bike[taker] = held[giver]
+            log.handovers.append((dep, j, giver, taker, held[giver]))
+    return log is None or not log.stalls
 
 
-def _plan_boundary(M, j, cut, plan, arrive, depart, bikes, ridden, stalls, handovers):
-    """Hand each dropped bicycle to the taker the plan names."""
-    mp = plan.mapping(j - 1)
-    takes = {taker: giver for giver, taker in mp.items() if giver != taker}
-    for i2 in sorted(cut.x01):
-        giver = takes.get(i2)
+def _first_come(takers, droppers, at, bike):
+    """Greedy (taker, giver, departure) matches at one post, in service order.
+
+    Serving the takers one by one from the parked bicycles, the r-th
+    taker leaves at the later of their arrival and the r-th earliest
+    drop, and every bicycle dropped by then and not yet taken is
+    parked; they take the lowest-numbered one.
+    """
+    takers = sorted(takers, key=at.__getitem__)
+    droppers = sorted(droppers, key=at.__getitem__)
+    parked: list[tuple[int, int]] = []  # (bicycle, giver) heap
+    dropped = 0
+    matches = []
+    for r, taker in enumerate(takers):
+        dep = max(at[taker], at[droppers[r]])
+        while dropped < len(droppers) and at[droppers[dropped]] <= dep:
+            giver = droppers[dropped]
+            heappush(parked, (bike[giver], giver))
+            dropped += 1
+        matches.append((taker, heappop(parked)[1], dep))
+    return matches
+
+
+def _as_planned(j, takers, givers, at):
+    """Planned (taker, giver, departure) matches at post j, in row order."""
+    matches = []
+    for taker in takers:
+        giver = givers.get(taker)
         if giver is None:
             raise DeadlockError(j)
-        t_arr = arrive[i2][j]
-        t_bike = arrive[giver][j]
-        dep = max(t_arr, t_bike)
-        if t_bike > t_arr:
-            stalls.append(StallEvent(i2, j, t_arr, t_bike - t_arr, ridden[i2] + 1))
-        bike = bikes[giver][j - 1]
-        depart[i2][j] = dep
-        bikes[i2][j] = bike
-        handovers.append(HandoverEvent(dep, j, giver, i2, bike))
+        matches.append((taker, giver, max(at[taker], at[giver])))
+    return matches
 
 
 def _stage_ticks(speeds: SpeedModel) -> tuple[int, int]:
-    """Integer per-stage durations on a common clock (walk, ride)."""
+    """Integer per-stage durations on a common clock (walk, ride).
+
+    A tick is 1 / (walk numerator * cycle numerator) time units.
+    """
     t_walk = Fraction(1) / speeds.walk_speed
     t_ride = Fraction(1) / speeds.cycle_speed
     return (
@@ -245,37 +299,11 @@ def _stage_ticks(speeds: SpeedModel) -> tuple[int, int]:
     )
 
 
-def _greedy_is_stall_free(rows, walk_ticks: int, ride_ticks: int) -> bool:
-    """Integer-clock greedy scan, bailing out at the first stall.
-
-    Matching the r-th earliest dropped bicycle with the r-th earliest
-    taker is exactly the first-come-first-served discipline, and until
-    a stall happens every departure equals the arrival, so plain
-    integer arrival bookkeeping suffices.  Returns False as well when
-    takers outnumber dropped bicycles (a deadlock, not a finite stall).
-    """
-    n = len(rows)
-    m = len(rows[0])
-    cur = [0] * n
-    for j in range(1, m):
-        for i in range(n):
-            cur[i] += ride_ticks if rows[i][j - 1] else walk_ticks
-        drops = sorted(cur[i] for i in range(n) if rows[i][j - 1] > rows[i][j])
-        takes = sorted(cur[i] for i in range(n) if rows[i][j - 1] < rows[i][j])
-        if len(takes) > len(drops):
-            return False
-        for r, t_arr in enumerate(takes):
-            if drops[r] > t_arr:
-                return False
-    return True
-
-
 def is_executable_without_stall(
     M: BinaryScheme, speeds: SpeedModel | None = None
 ) -> bool:
     """Whether the greedy execution finishes with no stall (nor deadlock)."""
-    walk_ticks, ride_ticks = _stage_ticks(speeds or DEFAULT_SPEEDS)
-    return _greedy_is_stall_free(M.rows, walk_ticks, ride_ticks)
+    return _execute(M, *_stage_ticks(speeds or DEFAULT_SPEEDS))
 
 
 def first_stall_ride_index(
@@ -283,42 +311,14 @@ def first_stall_ride_index(
 ) -> int | None:
     """Ride ordinal attempted at the earliest greedy stall, None if none.
 
-    The earliest stall is by start time, then post, then row.  It is
-    found from one pass on the integer clock that assumes nobody
-    stalls: every event before the earliest stall runs on time, and
-    every event a stall delays falls strictly after that stall starts.
-    At each post the takers are served in (arrival, row) order, so the
-    first to stall is the first of rank r whose r-th dropped bicycle
-    arrives after them.
+    The earliest stall is by start time, then post, then row.
 
     Raises:
-        DeadlockError: at the first post where takers outnumber the
-            bicycles dropped there.
+        DeadlockError: as simulate does.
     """
-    walk_ticks, ride_ticks = _stage_ticks(speeds or DEFAULT_SPEEDS)
-    rows = M.rows
-    n, m = M.n, M.m
-    cur = [0] * n
-    ridden = [0] * n
-    first = None  # (start, post, row, ride index) of the earliest stall so far
-    for j in range(1, m):
-        for i in range(n):
-            if rows[i][j - 1]:
-                cur[i] += ride_ticks
-                ridden[i] += 1
-            else:
-                cur[i] += walk_ticks
-        drops = sorted(cur[i] for i in range(n) if rows[i][j - 1] > rows[i][j])
-        takes = sorted((cur[i], i) for i in range(n) if rows[i][j - 1] < rows[i][j])
-        if len(takes) > len(drops):
-            raise DeadlockError(j)
-        for r, (t_arr, i) in enumerate(takes):
-            if drops[r] > t_arr:
-                stall = (t_arr, j, i, ridden[i] + 1)
-                if first is None or stall < first:
-                    first = stall
-                break
-    return None if first is None else first[3]
+    log = _Log()
+    _execute(M, *_stage_ticks(speeds or DEFAULT_SPEEDS), log=log)
+    return min(log.stalls)[4] if log.stalls else None
 
 
 @dataclass(frozen=True)
@@ -328,17 +328,12 @@ class CohortProfile:
     max_positions: most distinct positions held at any sampled moment.
     max_adjacent_gap: largest gap between neighbouring distinct
     positions.  max_spread: largest distance between the leader and
-    the straggler.  mixed_mode_colocation: some sampled moment had a
-    walker and a rider at the same position.  That holds for every
-    stall-free run whose first stage has both riders and walkers (for
-    a uniform scheme, every 0 < k < n): at t = 0 they all leave post 0
-    together, so the flag says nothing beyond that.
+    the straggler.
     """
 
     max_positions: int
     max_adjacent_gap: Fraction
     max_spread: Fraction
-    mixed_mode_colocation: bool
 
 
 def cohort_profile(trace: SimulationTrace) -> CohortProfile:
@@ -402,10 +397,8 @@ def cohort_profile(trace: SimulationTrace) -> CohortProfile:
     max_positions = 1
     max_gap = 0
     max_spread = 0
-    mixed = False
     for tau in samples:
-        # Position -> modes held there: 1 walking or waiting, 2 riding.
-        spots: dict[int, int] = {}
+        spots = set()
         for i in range(n):
             e = edges[i]
             p = ptr[i]
@@ -414,23 +407,16 @@ def cohort_profile(trace: SimulationTrace) -> CohortProfile:
             ptr[i] = p
             j, moving = divmod(p, 2)
             if moving:
-                riding = rows[i][j]
-                pos = j * unit + (tau - e[p - 1]) * pace[riding]
-                spots[pos] = spots.get(pos, 0) | (2 if riding else 1)
+                spots.add(j * unit + (tau - e[p - 1]) * pace[rows[i][j]])
             else:
-                pos = j * unit
-                spots[pos] = spots.get(pos, 0) | 1
+                spots.add(j * unit)
         here = sorted(spots)
         max_positions = max(max_positions, len(here))
         max_spread = max(max_spread, here[-1] - here[0])
         for a, b in zip(here, here[1:]):
             if b - a > max_gap:
                 max_gap = b - a
-        if not mixed and 3 in spots.values():
-            mixed = True
-    return CohortProfile(
-        max_positions, Fraction(max_gap, unit), Fraction(max_spread, unit), mixed
-    )
+    return CohortProfile(max_positions, Fraction(max_gap, unit), Fraction(max_spread, unit))
 
 
 _EVENT_RANK = {

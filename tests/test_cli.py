@@ -13,7 +13,6 @@ from bikerelay import (
     cyclic_matrix,
     format_scheme,
     parse_scheme,
-    prefix_sums,
 )
 from bikerelay.cli import build_parser, run
 
@@ -77,7 +76,7 @@ def test_check_witness_rows_equal_the_canonical_word(tmp_path):
             code, out, _ = invoke("check", str(target), "--witness", "--tie-order", flag, "--porcelain")
             assert code == 1
             lines = dict(line.split(": ", 1) for line in out.splitlines())
-            w = canonical_word(M, prefix_sums(M), int(lines["failing_boundary_index"]), tie_order)
+            w = canonical_word(M, int(lines["failing_boundary_index"]), tie_order)
             assert lines["failing_rows"] == " ".join(map(str, w.rows))
             assert lines["failing_word"] == w.letters
 

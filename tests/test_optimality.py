@@ -15,6 +15,7 @@ from bikerelay import (
     build_assignment_plan,
     canonical_word,
     complementary_plan,
+    count_excess_handovers,
     cyclic_matrix,
     decide_optimal,
     dual_reverse_word,
@@ -26,6 +27,7 @@ from bikerelay import (
     prefix_sums,
     random_uniform,
     reverse_stages,
+    transpose_cyclic_matrix,
     uniformity,
     verify_plan,
 )
@@ -108,23 +110,20 @@ def test_dual_reverse_word_is_an_involution():
 
 
 def test_canonical_word_on_the_split_fixtures(split_riders, split_riders_swapped):
-    S = prefix_sums(split_riders)
-    w = canonical_word(split_riders, S, 2)
+    w = canonical_word(split_riders, 2)
     assert w.letters == "aaabbb"
     assert w.rows == (0, 1, 2, 3, 4, 5)
-    S = prefix_sums(split_riders_swapped)
-    w = canonical_word(split_riders_swapped, S, 2)
+    w = canonical_word(split_riders_swapped, 2)
     assert w.letters == "bbbaaa"
     assert not is_dyck(w)
 
 
 def test_canonical_word_rejects_bad_input(split_riders):
-    S = prefix_sums(split_riders)
     with pytest.raises(ValueError):
-        canonical_word(split_riders, S, 5)
+        canonical_word(split_riders, 5)
     bad = parse_scheme("2 2\n1 1\n1 0\n")
     with pytest.raises(ValueError):
-        canonical_word(bad, prefix_sums(bad), 0)
+        canonical_word(bad, 0)
 
 
 def test_verdicts_on_fixtures(split_riders, split_riders_swapped):
@@ -192,16 +191,13 @@ def test_tie_order_divergence(tie_order_split):
 @given(st.integers(2, 7), st.randoms(use_true_random=False))
 def test_word_transforms(n, rng):
     M = random_uniform(n, rng.randint(1, n - 1), rng)
-    S = prefix_sums(M)
     D = binary_dual(M)
-    SD = prefix_sums(D)
     R = reverse_stages(M)
-    SR = prefix_sums(R)
     for b in range(M.m - 1):
-        w = canonical_word(M, S, b).letters
-        assert canonical_word(D, SD, b).letters == dual_reverse_word(w)
-        back = canonical_word(M, S, M.m - 2 - b).letters
-        assert canonical_word(R, SR, b).letters == dual_reverse_word(back)
+        w = canonical_word(M, b).letters
+        assert canonical_word(D, b).letters == dual_reverse_word(w)
+        back = canonical_word(M, M.m - 2 - b).letters
+        assert canonical_word(R, b).letters == dual_reverse_word(back)
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,6 +215,20 @@ def test_plan_for_split_riders(split_riders):
     assert P.mapping(2) == {0: 3, 1: 4, 2: 5}
     assert P.mapping(0) == {0: 0, 1: 1, 2: 2}
     assert verify_plan(split_riders, P).valid
+
+
+def test_plans_with_tied_handovers_are_valid():
+    # A receiver whose ride count through the boundary equals the
+    # donor's reaches the post with the bicycle: the plan stays valid.
+    tied = 0
+    for n in range(2, 8):
+        for k in range(1, n):
+            M = transpose_cyclic_matrix(n, k)
+            P = build_assignment_plan(M)
+            assert verify_plan(M, P).valid, (n, k)
+            assert verify_plan(binary_dual(M), complementary_plan(M, P)).valid, (n, k)
+            tied += count_excess_handovers(M) > 0
+    assert tied >= 10
 
 
 def test_plan_requires_an_optimal_scheme(split_riders_swapped):
@@ -254,15 +264,14 @@ def test_plan_violations_are_located(split_riders):
 
 
 def test_partial_sum_condition_reported():
-    from bikerelay import stage_cut
-
     # Donors at the third boundary are one ride behind the receivers.
     M = parse_scheme("6 6\n" + "1 1 0 1 0 0\n" * 3 + "0 0 1 0 1 1\n" * 3)
     maps = []
     for b in range(5):
-        cut = stage_cut(M, b)
-        m = {i: i for i in cut.x11}
-        for g, t in zip(cut.x10, cut.x01):
+        m = {i: i for i, r in enumerate(M.rows) if r[b] and r[b + 1]}
+        droppers = [i for i, r in enumerate(M.rows) if r[b] > r[b + 1]]
+        takers = [i for i, r in enumerate(M.rows) if r[b] < r[b + 1]]
+        for g, t in zip(droppers, takers):
             m[g] = t
         maps.append(m)
     check = verify_plan(M, AssignmentPlan.from_maps(maps))
@@ -285,15 +294,14 @@ def test_plan_existence_matches_word_verdict_exhaustively():
     # every possible handover bijection at every boundary.
     from itertools import permutations
 
-    from bikerelay import stage_cut
-
     def some_plan_everywhere(M):
         S = prefix_sums(M)
         for b in range(M.m - 1):
-            cut = stage_cut(M, b)
+            droppers = [i for i, r in enumerate(M.rows) if r[b] > r[b + 1]]
+            takers = [i for i, r in enumerate(M.rows) if r[b] < r[b + 1]]
             found = False
-            for perm in permutations(cut.x01):
-                if all(S.table[t][b + 1] <= S.table[g][b + 1] for g, t in zip(cut.x10, perm)):
+            for perm in permutations(takers):
+                if all(S.table[t][b + 1] <= S.table[g][b + 1] for g, t in zip(droppers, perm)):
                     found = True
                     break
             if not found:

@@ -14,7 +14,6 @@ from bikerelay import (
     parse_scheme,
     random_uniform,
     reduce_scheme,
-    stage_cut,
     transpose_cyclic_matrix,
     uniformity,
 )
@@ -95,10 +94,11 @@ def test_excess_handover_count_is_a_boundary_sum():
         S = prefix_sums(M)
         total = 0
         for b in range(M.m - 1):
-            cut = stage_cut(M, b)
-            for v in set(S.table[i][b + 1] for i in cut.x10):
-                drops = sum(1 for i in cut.x10 if S.table[i][b + 1] == v)
-                takes = sum(1 for i in cut.x01 if S.table[i][b + 1] == v)
+            droppers = [i for i, r in enumerate(M.rows) if r[b] > r[b + 1]]
+            takers = [i for i, r in enumerate(M.rows) if r[b] < r[b + 1]]
+            for v in set(S.table[i][b + 1] for i in droppers):
+                drops = sum(1 for i in droppers if S.table[i][b + 1] == v)
+                takes = sum(1 for i in takers if S.table[i][b + 1] == v)
                 total += min(drops, takes)
         assert count_excess_handovers(M) == total
 

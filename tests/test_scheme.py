@@ -10,9 +10,7 @@ from bikerelay import (
     parse_scheme,
     permute_rows,
     prefix_sums,
-    reverse_rows,
     reverse_stages,
-    stage_cut,
     transpose,
     uniformity,
 )
@@ -171,14 +169,15 @@ def test_prefix_sums_table():
 
 
 def test_stage_cut_partitions(split_riders):
-    cut = stage_cut(split_riders, 2)
-    assert cut.x10 == (0, 1, 2)
-    assert cut.x01 == (3, 4, 5)
-    assert cut.x11 == () and cut.x00 == ()
-    cut = stage_cut(split_riders, 0)
-    assert cut.x11 == (0, 1, 2) and cut.x00 == (3, 4, 5)
-    with pytest.raises(ValueError):
-        stage_cut(split_riders, 5)
+    # The partition at boundary b is read from the column masks C[b]
+    # and C[b+1]: keep riding, drop, take, keep walking.
+    C = split_riders.col_masks
+    everyone = 0b111111
+    assert C[2] & ~C[3] == 0b000111
+    assert C[3] & ~C[2] == 0b111000
+    assert C[2] & C[3] == 0 and everyone & ~(C[2] | C[3]) == 0
+    assert C[0] & C[1] == 0b000111 and everyone & ~(C[0] | C[1]) == 0b111000
+    assert C[0] & ~C[1] == 0 and C[1] & ~C[0] == 0
 
 
 def test_permute_rows_indexing():
@@ -192,7 +191,8 @@ def test_permute_rows_indexing():
 @given(matrices)
 def test_transforms_are_involutions(M):
     assert reverse_stages(reverse_stages(M)) == M
-    assert reverse_rows(reverse_rows(M)) == M
+    backwards = range(M.n - 1, -1, -1)
+    assert permute_rows(permute_rows(M, backwards), backwards) == M
     assert binary_dual(binary_dual(M)) == M
     assert transpose(transpose(M)) == M
 
@@ -200,7 +200,7 @@ def test_transforms_are_involutions(M):
 @given(matrices)
 def test_transforms_commute_with_transpose(M):
     T = transpose(M)
-    assert transpose(reverse_stages(M)) == reverse_rows(T)
+    assert transpose(reverse_stages(M)) == permute_rows(T, range(T.n - 1, -1, -1))
     assert transpose(binary_dual(M)) == binary_dual(T)
 
 
