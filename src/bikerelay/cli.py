@@ -41,6 +41,7 @@ from .reduction import (
 from .scheme import (
     BinaryScheme,
     SchemeFormatError,
+    _digit_rows,
     format_scheme,
     parse_scheme,
 )
@@ -75,6 +76,15 @@ def _emit(args, pairs, tables=()):
             print(line)
 
 
+def _speed(text: str) -> Fraction:
+    # Fraction raises ZeroDivisionError on "1/0", which argparse would
+    # not turn into a usage error.
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _read_scheme(path: str) -> BinaryScheme:
     if path == "-":
         return parse_scheme(sys.stdin.read())
@@ -84,8 +94,8 @@ def _read_scheme(path: str) -> BinaryScheme:
 
 def _matrix_table(M: BinaryScheme):
     yield ""
-    for row in M.rows:
-        yield " ".join(str(v) for v in row)
+    for row in _digit_rows(M.masks, M.m):
+        yield " ".join(row)
 
 
 def _cmd_gen(args) -> int:
@@ -228,8 +238,7 @@ def _cmd_enum(args) -> int:
         ("nonoptimal", report.nonoptimal_count),
     ]
     for idx, M in enumerate(report.minimal_nonoptimal_examples, start=1):
-        bits = ";".join("".join(map(str, row)) for row in M.rows)
-        pairs.append((f"example_{idx}", bits))
+        pairs.append((f"example_{idx}", ";".join(_digit_rows(M.masks, M.m))))
     if args.cross_validate:
         pairs.append(("speed_ratios", " ".join(_frac(Fraction(r)) for r in DEFAULT_SPEED_RATIOS)))
         pairs.append(("mismatches", len(mismatches)))
@@ -295,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", parents=[common], help="execute a scheme exactly")
     p.add_argument("file", help="matrix file, or - for stdin")
-    p.add_argument("--walk", type=Fraction, default=Fraction(1),
+    p.add_argument("--walk", type=_speed, default=Fraction(1),
                    help="walking speed as P/Q (default 1)")
-    p.add_argument("--cycle", type=Fraction, default=Fraction(2),
+    p.add_argument("--cycle", type=_speed, default=Fraction(2),
                    help="cycling speed as P/Q (default 2)")
     p.add_argument("--policy", default="greedy", choices=["greedy", "plan"])
     p.add_argument("--trace", default=None, metavar="FILE.csv",

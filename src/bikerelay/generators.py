@@ -24,16 +24,20 @@ def _check_nk(n: int, k: int):
         raise ValueError(f"k={k} out of range 0..{n}")
 
 
+def _windows(n: int, k: int, step: int) -> BinaryScheme:
+    """Row i rides the k stages i*step .. i*step+k-1 (mod n)."""
+    _check_nk(n, k)
+    full = (1 << n) - 1
+    masks = []
+    for i in range(n):
+        x = full >> (n - k) << (i * step % n)
+        masks.append((x | x >> n) & full)
+    return BinaryScheme._from_masks(tuple(masks), n)
+
+
 def cyclic_matrix(n: int, k: int) -> BinaryScheme:
     """Row i rides stages i*k .. i*k+k-1 (mod n); k-uniform and square."""
-    _check_nk(n, k)
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        for t in range(k):
-            row[(i * k + t) % n] = 1
-        rows.append(row)
-    return BinaryScheme(rows)
+    return _windows(n, k, k)
 
 
 def transpose_cyclic_matrix(n: int, k: int) -> BinaryScheme:
@@ -43,14 +47,7 @@ def transpose_cyclic_matrix(n: int, k: int) -> BinaryScheme:
 
 def circulant_matrix(n: int, k: int) -> BinaryScheme:
     """Row i rides stages i .. i+k-1 (mod n)."""
-    _check_nk(n, k)
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        for t in range(k):
-            row[(i + t) % n] = 1
-        rows.append(row)
-    return BinaryScheme(rows)
+    return _windows(n, k, 1)
 
 
 class StageCountCheck(NamedTuple):
@@ -119,14 +116,14 @@ def block_compose(
                 raise ValueError(f"cell ({g},{t}) is not {k_prime}-uniform")
             if not decide_optimal(cell).optimal:
                 raise ValueError(f"cell ({g},{t}) does not decide optimal")
-    rows = []
-    for g in range(d):
+    masks = []
+    for cell_row in cells:
         for i in range(n_prime):
-            row = []
-            for t in range(r):
-                row.extend(cells[g][t].rows[i])
-            rows.append(row)
-    return BinaryScheme(rows)
+            x = 0
+            for t, cell in enumerate(cell_row):
+                x |= cell.masks[i] << (t * n_prime)
+            masks.append(x)
+    return BinaryScheme._from_masks(tuple(masks), r * n_prime)
 
 
 def default_block_cells(n: int, k: int, r: int) -> list[list[BinaryScheme]]:
@@ -151,12 +148,5 @@ def is_single_ride_cyclic(M: BinaryScheme) -> bool:
     uni = uniformity(M)
     if not uni.is_uniform:
         raise ValueError("defined for uniform schemes only")
-    n = M.n
-    for row in M.rows:
-        starts = sum(
-            1 for j in range(n) if row[j] == 0 and row[(j + 1) % n] == 1
-        )
-        if starts > 1:
-            return False
-    reference = sorted(cyclic_matrix(n, uni.k).rows)
-    return sorted(M.rows) == reference
+    # Each row of cyclic(n, k) is one cyclic interval, so equal rows imply that too.
+    return sorted(M.masks) == sorted(cyclic_matrix(M.n, uni.k).masks)

@@ -3,10 +3,10 @@
 When a dropper and a taker at the same post have ridden equally many
 stages, they arrive simultaneously, so the exchange between them gains
 nothing: swapping the two rows' tails after that post makes the
-dropper keep riding and the taker keep walking.  Repeating until no
-such pair is left yields a scheme with the same column sums, row sums
-and outward appearance (the same multiset of positions at every
-moment) but fewer handovers.
+dropper keep riding and the taker keep walking.  One left-to-right
+pass over the boundaries removes every such pair, giving a scheme with
+the same column sums, row sums and outward appearance (the same
+multiset of positions at every moment) but fewer handovers.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .optimality import AssignmentPlan, decide_optimal, verify_plan
-from .scheme import BinaryScheme
+from .scheme import BinaryScheme, _mask_rows
 
 
 @dataclass(frozen=True)
@@ -22,14 +22,11 @@ class RideStats:
     """Ride counts of a scheme.
 
     per_traveller[i] is the number of maximal runs of 1s in row i read
-    left to right.  per_bicycle_mounts and excess_handovers are filled
-    only by callers that have a plan / an optimal scheme at hand.
+    left to right.
     """
 
     total_rides: int
     per_traveller: tuple[int, ...]
-    per_bicycle_mounts: tuple[int, ...] | None = None
-    excess_handovers: int | None = None
 
 
 def reduce_scheme(M: BinaryScheme) -> tuple[BinaryScheme, int]:
@@ -38,8 +35,11 @@ def reduce_scheme(M: BinaryScheme) -> tuple[BinaryScheme, int]:
     Scans boundaries left to right; at each boundary, droppers and
     takers with equal ride counts so far are paired lowest row index
     with lowest row index and their row tails after the boundary are
-    swapped.  Repeats until a full pass makes no swap.  Row and column
-    sums are unchanged and the result still decides optimal.
+    swapped.  One pass suffices: a swapped pair has equal ride counts,
+    so the swap only trades the two rows' futures.  It creates or
+    destroys no tie at a later boundary and leaves earlier ones alone.
+    Row and column sums are unchanged and the result still decides
+    optimal.
 
     Raises:
         ValueError: M does not decide optimal.
@@ -47,82 +47,38 @@ def reduce_scheme(M: BinaryScheme) -> tuple[BinaryScheme, int]:
     verdict = decide_optimal(M)
     if not verdict.optimal:
         raise ValueError(f"scheme is not optimal ({verdict.reason})")
-    rows = [list(r) for r in M.rows]
-    n, m = M.n, M.m
+    masks = list(M.masks)
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        ridden = [0] * n  # stages ridden before the current boundary's post
-        for b in range(m - 1):
-            for i in range(n):
-                ridden[i] += rows[i][b]
-            by_sum: dict[int, tuple[list[int], list[int]]] = {}
-            for i in range(n):
-                first, second = rows[i][b], rows[i][b + 1]
-                if first == second:
-                    continue
-                droppers, takers = by_sum.setdefault(ridden[i], ([], []))
-                (droppers if first else takers).append(i)
-            for droppers, takers in by_sum.values():
-                for i1, i2 in zip(droppers, takers):
-                    tail = b + 1
-                    rows[i1][tail:], rows[i2][tail:] = rows[i2][tail:], rows[i1][tail:]
-                    removed += 1
-                    changed = True
-    return BinaryScheme(rows), removed
-
-
-def _equal_sum_pairings(M: BinaryScheme) -> int:
-    """Sum over boundaries and ride counts of min(#droppers, #takers).
-
-    Swapping a tied pair's tails never creates or destroys ties
-    elsewhere, so this closed form on the unmodified matrix equals the
-    swap count of reduce_scheme.
-    """
-    n, m = M.n, M.m
-    total = 0
-    ridden = [0] * n
-    for b in range(m - 1):
-        counts: dict[int, list[int]] = {}
-        for i in range(n):
-            ridden[i] += M.rows[i][b]
-            first, second = M.rows[i][b], M.rows[i][b + 1]
-            if first == second:
-                continue
-            pair = counts.setdefault(ridden[i], [0, 0])
-            pair[0 if first else 1] += 1
-        total += sum(min(c[0], c[1]) for c in counts.values())
-    return total
+    for b in range(M.m - 1):
+        head = (1 << (b + 1)) - 1  # columns 0..b
+        by_count: dict[int, tuple[list[int], list[int]]] = {}
+        for i, x in enumerate(masks):
+            if (x >> b ^ x >> (b + 1)) & 1:  # a dropper or a taker
+                droppers, takers = by_count.setdefault((x & head).bit_count(), ([], []))
+                (droppers if x >> b & 1 else takers).append(i)
+        for droppers, takers in by_count.values():
+            for i1, i2 in zip(droppers, takers):
+                x = (masks[i1] ^ masks[i2]) & ~head
+                masks[i1] ^= x
+                masks[i2] ^= x
+                removed += 1
+    return BinaryScheme._from_masks(tuple(masks), M.m), removed
 
 
 def count_excess_handovers(M: BinaryScheme) -> int:
     """The number of removable handovers; the swap count of reduce_scheme.
 
-    Counted in one pass by the closed form over tied droppers and
-    takers, without performing the swaps.
-
     Raises:
         ValueError: M does not decide optimal.
     """
-    verdict = decide_optimal(M)
-    if not verdict.optimal:
-        raise ValueError(f"scheme is not optimal ({verdict.reason})")
-    return _equal_sum_pairings(M)
+    return reduce_scheme(M)[1]
 
 
 def count_rides(M: BinaryScheme) -> RideStats:
     """Per-traveller and total ride counts (maximal runs of 1s per row)."""
-    per = []
-    for row in M.rows:
-        runs = 0
-        prev = 0
-        for v in row:
-            if v and not prev:
-                runs += 1
-            prev = v
-        per.append(runs)
-    return RideStats(sum(per), tuple(per))
+    # A run starts at every 1 whose left neighbour is 0.
+    per = tuple((x & ~(x << 1)).bit_count() for x in M.masks)
+    return RideStats(sum(per), per)
 
 
 def bicycle_itineraries(M: BinaryScheme, P: AssignmentPlan) -> tuple[int, ...]:
@@ -138,7 +94,7 @@ def bicycle_itineraries(M: BinaryScheme, P: AssignmentPlan) -> tuple[int, ...]:
     check = verify_plan(M, P)
     if not check.valid:
         raise ValueError(f"plan is not valid for the scheme: {check.violation}")
-    owners = [i for i in range(M.n) if M.rows[i][0]]
+    owners = _mask_rows(M.col_masks[0])
     mounts = [1] * len(owners)
     for b in range(M.m - 1):
         mp = P.mapping(b)

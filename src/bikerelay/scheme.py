@@ -18,7 +18,9 @@ or decide a scheme.
 This module holds the matrix data model (validation, cached views), the
 text file format, and the structural transforms used by the rest of the
 package: row permutation, stage reversal, the binary dual (bit flip),
-and transposition.
+and transposition.  The transforms permute, bit-reverse or flip the
+row masks, or swap them with the column masks, so none of them builds
+the rows view.
 """
 
 from __future__ import annotations
@@ -81,18 +83,20 @@ class BinaryScheme:
 
     @classmethod
     def _from_masks(
-        cls, masks: tuple[int, ...], m: int, col_masks: tuple[int, ...]
+        cls, masks: tuple[int, ...], m: int, col_masks: tuple[int, ...] | None = None
     ) -> "BinaryScheme":
-        """A scheme from its row and column masks, without validation.
+        """A scheme from its row masks, and its column masks if known, without validation.
 
         The caller guarantees that the masks fit in m and n bits and
-        describe the same matrix.
+        describe the same matrix.  Without col_masks that view is
+        derived on first read, like the others.
         """
         self = object.__new__(cls)
         _set(self, "masks", masks)
         _set(self, "n", len(masks))
         _set(self, "m", m)
-        _set(self, "col_masks", col_masks)
+        if col_masks is not None:
+            _set(self, "col_masks", col_masks)
         return self
 
     def __getattr__(self, name):
@@ -320,12 +324,15 @@ def permute_rows(M: BinaryScheme, pi: Sequence[int]) -> BinaryScheme:
     """
     if sorted(pi) != list(range(M.n)):
         raise ValueError("pi is not a permutation of the row indices")
-    return BinaryScheme(M.rows[p] for p in pi)
+    return BinaryScheme._from_masks(tuple(M.masks[p] for p in pi), M.m)
 
 
 def reverse_stages(M: BinaryScheme) -> BinaryScheme:
     """Reverse the column (stage) order."""
-    return BinaryScheme(tuple(reversed(row)) for row in M.rows)
+    # A row written stage 0 first is the reversed row's mask in binary.
+    return BinaryScheme._from_masks(
+        tuple(int(row, 2) for row in _digit_rows(M.masks, M.m)), M.m
+    )
 
 
 def binary_dual(M: BinaryScheme) -> BinaryScheme:
@@ -333,9 +340,10 @@ def binary_dual(M: BinaryScheme) -> BinaryScheme:
 
     A k-uniform square input yields an (n-k)-uniform output.
     """
-    return BinaryScheme(tuple(1 - v for v in row) for row in M.rows)
+    full = (1 << M.m) - 1
+    return BinaryScheme._from_masks(tuple(x ^ full for x in M.masks), M.m)
 
 
 def transpose(M: BinaryScheme) -> BinaryScheme:
     """Standard transpose; result is m x n."""
-    return BinaryScheme(zip(*M.rows))
+    return BinaryScheme._from_masks(M.col_masks, M.n, M.masks)

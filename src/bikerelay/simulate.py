@@ -391,7 +391,7 @@ def cohort_profile(trace: SimulationTrace) -> CohortProfile:
         samples.append((a + b) // 2)
         samples.append(b)
 
-    rows = trace.scheme.rows
+    bikes = trace.stage_bike
     end = 2 * m
     ptr = [0] * n
     max_positions = 1
@@ -407,7 +407,7 @@ def cohort_profile(trace: SimulationTrace) -> CohortProfile:
             ptr[i] = p
             j, moving = divmod(p, 2)
             if moving:
-                spots.add(j * unit + (tau - e[p - 1]) * pace[rows[i][j]])
+                spots.add(j * unit + (tau - e[p - 1]) * pace[bikes[i][j] is not None])
             else:
                 spots.add(j * unit)
         here = sorted(spots)
@@ -443,14 +443,13 @@ def write_trace_csv(trace: SimulationTrace, out: IO[str]):
     n, m = trace.scheme.n, trace.scheme.m
     for i in range(n):
         for j in range(m):
-            riding = trace.scheme.rows[i][j]
             bike = trace.stage_bike[i][j]
             rows.append(
                 (
                     trace.depart_times[i][j],
                     i,
                     j,
-                    "depart_ride" if riding else "depart_walk",
+                    "depart_walk" if bike is None else "depart_ride",
                     "" if bike is None else bike,
                 )
             )

@@ -11,6 +11,7 @@ from bikerelay import (
     TieOrder,
     canonical_word,
     cyclic_matrix,
+    enumerate_uniform,
     format_scheme,
     parse_scheme,
 )
@@ -123,6 +124,9 @@ def test_reduce_command(tmp_path):
     assert "handovers_removed: 12" in out
     R = parse_scheme(dst.read_text())
     assert R.row_sums == parse_scheme(src.read_text()).row_sums
+    # The human table lists the reduced rows as the file does.
+    table = out.split("\n\n", 1)[1].splitlines()
+    assert table == dst.read_text().splitlines()[2:]
 
 
 def test_stats_command(fixtures_dir):
@@ -179,6 +183,15 @@ def test_sim_rejects_bad_speeds(fixtures_dir):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("flag", ["--walk", "--cycle"])
+@pytest.mark.parametrize("value", ["1/0", "x"])
+def test_sim_bad_speed_text_is_a_usage_error(fixtures_dir, flag, value):
+    code, out, err = invoke("sim", str(fixtures_dir / "split_riders.mat"), flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: bikerelay sim")
+    assert f"argument {flag}: invalid Fraction value: '{value}'" in err
+
+
 def test_enum_command():
     code, out, _ = invoke("enum", "--n", "4", "--k", "2", "--porcelain")
     assert code == 0
@@ -186,6 +199,15 @@ def test_enum_command():
     assert lines["total_uniform"] == "90"
     assert lines["optimal"] == "90"
     assert lines["nonoptimal"] == "0"
+
+
+def test_enum_examples_are_rows_of_digits():
+    code, out, _ = invoke("enum", "--n", "6", "--k", "3", "--max-examples", "2", "--porcelain")
+    assert code == 0
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    report = enumerate_uniform(6, 3, max_examples=2)
+    for idx, M in enumerate(report.minimal_nonoptimal_examples, start=1):
+        assert lines[f"example_{idx}"] == ";".join("".join(map(str, row)) for row in M.rows)
 
 
 def test_enum_cross_validate():

@@ -10,6 +10,7 @@ from bikerelay import (
     cyclic_matrix,
     decide_optimal,
     default_block_cells,
+    enumerate_uniform,
     is_single_ride_cyclic,
     permute_rows,
     reverse_stages,
@@ -18,6 +19,81 @@ from bikerelay import (
     uniformity,
     valid_stage_counts,
 )
+from bikerelay.generators import _check_nk
+
+
+def reference_cyclic_matrix(n, k):
+    _check_nk(n, k)
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        for t in range(k):
+            row[(i * k + t) % n] = 1
+        rows.append(row)
+    return BinaryScheme(rows)
+
+
+def reference_circulant_matrix(n, k):
+    _check_nk(n, k)
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        for t in range(k):
+            row[(i + t) % n] = 1
+        rows.append(row)
+    return BinaryScheme(rows)
+
+
+def reference_block_compose(n, k, r, cells):
+    _check_nk(n, k)
+    if r < 1:
+        raise ValueError(f"need at least one stage block, got r={r}")
+    d = gcd(n, k) if k else n
+    n_prime, k_prime = n // d, k // d
+    if len(cells) != d or any(len(row) != r for row in cells):
+        raise ValueError(f"cells must form a {d}x{r} array")
+    for g, cell_row in enumerate(cells):
+        for t, cell in enumerate(cell_row):
+            if cell.n != n_prime or cell.m != n_prime:
+                raise ValueError(
+                    f"cell ({g},{t}) is {cell.n}x{cell.m}, expected {n_prime}x{n_prime}"
+                )
+            uni = uniformity(cell)
+            if not uni.is_uniform or uni.k != k_prime:
+                raise ValueError(f"cell ({g},{t}) is not {k_prime}-uniform")
+            if not decide_optimal(cell).optimal:
+                raise ValueError(f"cell ({g},{t}) does not decide optimal")
+    rows = []
+    for g in range(d):
+        for i in range(n_prime):
+            row = []
+            for t in range(r):
+                row.extend(cells[g][t].rows[i])
+            rows.append(row)
+    return BinaryScheme(rows)
+
+
+def reference_is_single_ride_cyclic(M):
+    if not M.is_square:
+        raise ValueError("defined for square schemes only")
+    uni = uniformity(M)
+    if not uni.is_uniform:
+        raise ValueError("defined for uniform schemes only")
+    n = M.n
+    for row in M.rows:
+        starts = sum(
+            1 for j in range(n) if row[j] == 0 and row[(j + 1) % n] == 1
+        )
+        if starts > 1:
+            return False
+    reference = sorted(reference_cyclic_matrix(n, uni.k).rows)
+    return sorted(M.rows) == reference
+
+
+def assert_same_scheme(got, want):
+    assert got == want
+    assert (got.n, got.m) == (want.n, want.m)
+    assert got.rows == want.rows and got.col_masks == want.col_masks
 
 
 @pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (4, 2), (5, 3), (6, 6), (9, 4)])
@@ -149,3 +225,45 @@ def test_block_compose_rejects_non_optimal_cell():
             break
     with pytest.raises(ValueError):
         block_compose(7, 3, 1, [[cell]])
+
+
+def test_generators_equal_the_row_references():
+    for n in range(1, 41):
+        for k in range(n + 1):
+            want = reference_cyclic_matrix(n, k)
+            assert_same_scheme(cyclic_matrix(n, k), want)
+            assert transpose_cyclic_matrix(n, k).rows == tuple(zip(*want.rows))
+            assert_same_scheme(circulant_matrix(n, k), reference_circulant_matrix(n, k))
+    for n, k in ((0, 0), (3, 4), (3, -1)):
+        for generator in (cyclic_matrix, circulant_matrix):
+            with pytest.raises(ValueError):
+                generator(n, k)
+
+
+def test_block_compose_equals_the_row_reference():
+    # The shapes of test_block_compose_output and the valid cases of
+    # test_valid_stage_counts, with stock cells and with mixed ones.
+    for n, k, r in ((4, 2, 1), (4, 2, 2), (6, 4, 1), (6, 4, 2), (9, 6, 3)):
+        d = gcd(n, k)
+        cell = cyclic_matrix(n // d, k // d)
+        other = permute_rows(cell, [(i + 1) % cell.n for i in range(cell.n)])
+        mixed = [[(cell, other)[(g + t) % 2] for t in range(r)] for g in range(d)]
+        for cells in (default_block_cells(n, k, r), mixed):
+            assert_same_scheme(
+                block_compose(n, k, r, cells), reference_block_compose(n, k, r, cells)
+            )
+
+
+def test_single_ride_recognition_equals_the_row_reference():
+    seen = []
+
+    def visit(M, optimal):
+        got = is_single_ride_cyclic(M)
+        assert got == reference_is_single_ride_cyclic(M), M.rows
+        seen.append(got)
+
+    for n in range(1, 6):
+        for k in range(n + 1):
+            enumerate_uniform(n, k, visit)
+    assert len(seen) == 4482
+    assert 0 < seen.count(True) < len(seen)

@@ -4,6 +4,7 @@ from math import ceil, gcd
 import pytest
 
 from bikerelay import (
+    BinaryScheme,
     bicycle_itineraries,
     build_assignment_plan,
     count_excess_handovers,
@@ -17,6 +18,37 @@ from bikerelay import (
     transpose_cyclic_matrix,
     uniformity,
 )
+
+
+def reference_reduce(M: BinaryScheme) -> tuple[BinaryScheme, int]:
+    """The row-list reduction, repeating full passes until one makes no swap."""
+    verdict = decide_optimal(M)
+    if not verdict.optimal:
+        raise ValueError(f"scheme is not optimal ({verdict.reason})")
+    rows = [list(r) for r in M.rows]
+    n, m = M.n, M.m
+    removed = 0
+    changed = True
+    while changed:
+        changed = False
+        ridden = [0] * n  # stages ridden before the current boundary's post
+        for b in range(m - 1):
+            for i in range(n):
+                ridden[i] += rows[i][b]
+            by_sum: dict[int, tuple[list[int], list[int]]] = {}
+            for i in range(n):
+                first, second = rows[i][b], rows[i][b + 1]
+                if first == second:
+                    continue
+                droppers, takers = by_sum.setdefault(ridden[i], ([], []))
+                (droppers if first else takers).append(i)
+            for droppers, takers in by_sum.values():
+                for i1, i2 in zip(droppers, takers):
+                    tail = b + 1
+                    rows[i1][tail:], rows[i2][tail:] = rows[i2][tail:], rows[i1][tail:]
+                    removed += 1
+                    changed = True
+    return BinaryScheme(rows), removed
 
 
 @pytest.mark.parametrize(
@@ -113,7 +145,10 @@ def test_excess_count_equals_the_reduction_swap_count():
         for k in range(1, n + 1):
             schemes.append(transpose_cyclic_matrix(n, k))
     for M in schemes:
-        assert count_excess_handovers(M) == reduce_scheme(M)[1], M.rows
+        reduced, removed = reference_reduce(M)
+        got, swaps = reduce_scheme(M)
+        assert got == reduced and got.rows == reduced.rows, M.rows
+        assert swaps == removed == count_excess_handovers(M), M.rows
 
 
 def test_excess_count_rejects_non_optimal_schemes(split_riders_swapped):

@@ -1,18 +1,35 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bikerelay import (
     BinaryScheme,
     SchemeFormatError,
+    TieOrder,
+    bicycle_itineraries,
     binary_dual,
+    block_compose,
+    build_assignment_plan,
+    canonical_word,
+    circulant_matrix,
+    complementary_plan,
+    count_excess_handovers,
+    count_rides,
+    cyclic_matrix,
+    decide_optimal,
+    default_block_cells,
     format_scheme,
+    is_executable_without_stall,
+    is_single_ride_cyclic,
     parse_scheme,
     permute_rows,
     prefix_sums,
+    reduce_scheme,
     reverse_stages,
     transpose,
+    transpose_cyclic_matrix,
     uniformity,
+    verify_plan,
 )
 
 def reference_parse(text):
@@ -315,3 +332,105 @@ def test_formatted_schemes_parse_back_as_the_token_parser_reads_them(M):
     got = parse_scheme(text)
     assert got == M == reference_parse(text)
     assert got.rows == M.rows and got.col_masks == M.col_masks
+
+
+def reference_permute_rows(M, pi):
+    if sorted(pi) != list(range(M.n)):
+        raise ValueError("pi is not a permutation of the row indices")
+    return BinaryScheme(M.rows[p] for p in pi)
+
+
+def reference_reverse_stages(M):
+    return BinaryScheme(tuple(reversed(row)) for row in M.rows)
+
+
+def reference_binary_dual(M):
+    return BinaryScheme(tuple(1 - v for v in row) for row in M.rows)
+
+
+def reference_transpose(M):
+    return BinaryScheme(zip(*M.rows))
+
+
+@st.composite
+def schemes_and_permutations(draw):
+    """Schemes up to 64 x 64 whose entries mix 0/1, False/True and 0.0/1.0, with a row permutation."""
+    n = draw(st.integers(1, 64))
+    m = draw(st.integers(1, 64))
+    masks = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n))
+    zeros = draw(st.lists(st.sampled_from([0, False, 0.0]), min_size=1, max_size=3))
+    ones = draw(st.lists(st.sampled_from([1, True, 1.0]), min_size=1, max_size=3))
+
+    def entry(i, j, bit):
+        choices = ones if bit else zeros
+        return choices[(i + j) % len(choices)]
+
+    rows = [[entry(i, j, x >> j & 1) for j in range(m)] for i, x in enumerate(masks)]
+    return BinaryScheme(rows), draw(st.permutations(range(n)))
+
+
+def assert_same_scheme(got, want):
+    assert got == want
+    assert (got.n, got.m) == (want.n, want.m)
+    assert got.rows == want.rows and got.col_masks == want.col_masks
+    assert got.row_sums == want.row_sums and got.col_sums == want.col_sums
+
+
+@settings(max_examples=150, deadline=None)
+@given(schemes_and_permutations())
+@example((BinaryScheme([[1]]), [0]))
+@example((BinaryScheme([[True, 0, 1.0, False, 0.0]]), [0]))
+@example((BinaryScheme([[1.0], [False], [True], [0]]), [3, 1, 0, 2]))
+@example((BinaryScheme([[1] * 64] * 64), list(range(63, -1, -1))))
+def test_transforms_equal_the_row_references(case):
+    M, pi = case
+    assert_same_scheme(permute_rows(M, pi), reference_permute_rows(M, pi))
+    assert_same_scheme(reverse_stages(M), reference_reverse_stages(M))
+    assert_same_scheme(binary_dual(M), reference_binary_dual(M))
+    assert_same_scheme(transpose(M), reference_transpose(M))
+
+
+def rows_slot_is_empty(M):
+    try:
+        BinaryScheme.__dict__["rows"].__get__(M, BinaryScheme)
+    except AttributeError:
+        return True
+    return False
+
+
+def test_only_the_executor_builds_the_rows_view(fixtures_dir):
+    # Every layer but the greedy executor reads masks, so on schemes
+    # built from masks none of them fills the rows slot.
+    text = format_scheme(transpose_cyclic_matrix(11, 7))
+    M = parse_scheme(text)
+    swapped = parse_scheme((fixtures_dir / "split_riders_swapped.mat").read_text())
+    made = [M, swapped]
+    assert decide_optimal(M).optimal and not decide_optimal(swapped).optimal
+    for order in TieOrder:
+        for b in range(M.m - 1):
+            canonical_word(M, b, order)
+    P = build_assignment_plan(M)
+    assert verify_plan(M, P).valid
+    assert verify_plan(binary_dual(M), complementary_plan(M, P)).valid
+    assert len(bicycle_itineraries(M, P)) == 7
+    reduced, removed = reduce_scheme(M)
+    assert removed == count_excess_handovers(M) == 12
+    assert count_rides(M).total_rides == 47
+    made += [
+        reduced,
+        binary_dual(M),
+        permute_rows(M, range(M.n - 1, -1, -1)),
+        reverse_stages(M),
+        transpose(M),
+        cyclic_matrix(7, 3),
+        circulant_matrix(8, 3),
+        block_compose(6, 4, 2, default_block_cells(6, 4, 2)),
+    ]
+    assert is_single_ride_cyclic(made[-3])
+    assert uniformity(made[-1]).is_uniform
+    assert format_scheme(M) == text
+    for S in made:
+        assert rows_slot_is_empty(S), S
+    # The executor still reads rows, so the probe does see a filled slot.
+    assert is_executable_without_stall(M)
+    assert not rows_slot_is_empty(M)
