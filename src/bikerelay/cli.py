@@ -48,6 +48,7 @@ from .scheme import (
 from .simulate import (
     DeadlockError,
     SpeedModel,
+    _frac,
     simulate,
     write_trace_csv,
 )
@@ -62,10 +63,6 @@ _TIE_ORDERS = {
 
 def _bool(v: bool) -> str:
     return "true" if v else "false"
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _emit(args, pairs, tables=()):

@@ -253,9 +253,11 @@ def _scanned_boundaries(l: int, m: int, use_skip_rule: bool) -> range:
     if l <= 2 or l >= m - 2:
         return range(0)
     # The two outermost boundaries at each end are Dyck for every
-    # uniform scheme: takers there have ridden at most as much as every
-    # dropper, so the word sorts as a-block then b-block (and dually at
-    # the far end).
+    # uniform scheme under DROP_FIRST: takers there have ridden at most
+    # as much as every dropper, so with droppers first on ties the word
+    # sorts as a-block then b-block (and dually at the far end).  Under
+    # TAKE_FIRST a tie puts a taker first, so decide_optimal never
+    # applies the rule there.
     return range(2, m - 3)
 
 
@@ -275,17 +277,18 @@ def decide_optimal(
     far are kept as bit slices.  The word itself is built only for the
     failing boundary.
 
-    With use_skip_rule, boundaries 0, 1, m-3, m-2 are not scanned and
-    the whole scan is dropped when the common row sum l satisfies
-    l <= 2 or l >= m-2 (see _scanned_boundaries); the verdict is
-    identical with and without the flag.
+    With use_skip_rule and DROP_FIRST, boundaries 0, 1, m-3, m-2 are
+    not scanned and the whole scan is dropped when the common row sum l
+    satisfies l <= 2 or l >= m-2 (see _scanned_boundaries); the verdict
+    is identical with and without the flag.  TAKE_FIRST always scans
+    every boundary, since ties can break those words.
     """
     sums = _common_sums(M)
     if sums is None:
         return Verdict(False, None, "not-uniform")
     k, l = sums
-    scanned = _scanned_boundaries(l, M.m, use_skip_rule)
     take_first = tie_order is TieOrder.TAKE_FIRST
+    scanned = _scanned_boundaries(l, M.m, use_skip_rule and not take_first)
     cols = M.col_masks
     slices: list[int] = []
     for b in range(scanned.stop):

@@ -1,10 +1,12 @@
 """Ground-truth machinery for checking the decision algorithm.
 
-Everything here is deliberately independent of the word-based
-decision: uniform matrices are enumerated by brute force, verdicts are
-cross-checked against the greedy execution, determinants come from
-fraction-free elimination, and the cyclic family's structure claims
-are verified entry by entry.
+Uniform matrices are enumerated by brute force, and each one's verdict
+is decided on its column prefix with the same boundary test as
+decide_optimal (_is_dyck_at over _scanned_boundaries).  The checks on
+that verdict are deliberately independent of the word-based decision:
+the stall probe of cross_validate executes every matrix greedily,
+determinants come from fraction-free elimination, and the cyclic
+family's structure claims are verified entry by entry.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ def _stall_probe(
     ticks = [_stage_ticks(SpeedModel(1, Fraction(r))) for r in speed_ratios]
 
     def probe(M: BinaryScheme, dyck_optimal: bool):
-        flags = tuple(_execute(M, w, r) for w, r in ticks)
+        flags = tuple(_execute(M, w, r) for w, r, _ in ticks)
         if any(flag != dyck_optimal for flag in flags):
             mismatches.append(Mismatch(M, dyck_optimal, flags))
 

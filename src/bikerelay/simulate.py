@@ -9,11 +9,13 @@ incoming one; simultaneous arrivals are served lowest row first.
 Under a plan policy each traveller waits for the specific bicycle the
 plan assigns.
 
-Times and positions are exact.  One executor, _execute, counts whole
-ticks of a clock on which both stage durations are integers, and
-simulate turns its ticks into Fractions.  Simultaneous arrivals (equal
-ride counts) are exactly the handovers the optimality theory relies
-on, so float rounding would turn ties into races and change verdicts.
+Times and positions are exact.  _stage_ticks states the clock, on
+which both stage durations are whole ticks; the one executor,
+_execute, counts those ticks, simulate turns them into Fractions, and
+cohort_profile and write_trace_csv read the same clock.  Simultaneous
+arrivals (equal ride counts) are exactly the handovers the optimality
+theory relies on, so float rounding would turn ties into races and
+change verdicts.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
+from itertools import accumulate
 from typing import IO
 
 from .optimality import AssignmentPlan, _structural_violation
@@ -138,12 +140,12 @@ def simulate(
     elif policy != "greedy":
         raise ValueError(f"unknown policy {policy!r}")
 
+    walk, ride, per_unit = _stage_ticks(speeds)
     log = _Log()
-    _execute(M, *_stage_ticks(speeds), givers, log)
+    _execute(M, walk, ride, givers, log)
     # Every departure is some traveller's arrival at the same post, so
     # the arrivals and the waits hold every tick; each distinct tick
     # becomes one Fraction, shared by every field that holds it.
-    per_unit = speeds.walk_speed.numerator * speeds.cycle_speed.numerator
     ticks = set().union(*log.arrive)
     ticks.update(s[3] for s in log.stalls)
     at = {x: Fraction(x, per_unit) for x in ticks}.__getitem__
@@ -155,8 +157,8 @@ def simulate(
         depart_times=tuple(tuple(map(at, r)) for r in zip(*log.depart)),
         stage_bike=tuple(zip(*log.bikes)),
         stall_events=tuple(
-            StallEvent(i, j, at(start), at(wait), ride)
-            for start, j, i, wait, ride in log.stalls
+            StallEvent(i, j, at(start), at(wait), ride_index)
+            for start, j, i, wait, ride_index in log.stalls
         ),
         handover_events=tuple(
             HandoverEvent(at(t), j, giver, taker, bike)
@@ -286,24 +288,24 @@ def _as_planned(j, takers, givers, at):
     return matches
 
 
-def _stage_ticks(speeds: SpeedModel) -> tuple[int, int]:
-    """Integer per-stage durations on a common clock (walk, ride).
+def _stage_ticks(speeds: SpeedModel) -> tuple[int, int, int]:
+    """The run's clock: (walk, ride, per_unit).
 
-    A tick is 1 / (walk numerator * cycle numerator) time units.
+    A tick is 1 / per_unit time units, with per_unit the product of
+    the two speed numerators; a walking stage takes walk whole ticks
+    and a riding stage ride.  Every time of a run is a whole number of
+    ticks.
     """
-    t_walk = Fraction(1) / speeds.walk_speed
-    t_ride = Fraction(1) / speeds.cycle_speed
-    return (
-        t_walk.numerator * t_ride.denominator,
-        t_ride.numerator * t_walk.denominator,
-    )
+    w, c = speeds.walk_speed, speeds.cycle_speed
+    return w.denominator * c.numerator, c.denominator * w.numerator, w.numerator * c.numerator
 
 
 def is_executable_without_stall(
     M: BinaryScheme, speeds: SpeedModel | None = None
 ) -> bool:
     """Whether the greedy execution finishes with no stall (nor deadlock)."""
-    return _execute(M, *_stage_ticks(speeds or DEFAULT_SPEEDS))
+    walk, ride, _ = _stage_ticks(speeds or DEFAULT_SPEEDS)
+    return _execute(M, walk, ride)
 
 
 def first_stall_ride_index(
@@ -316,8 +318,9 @@ def first_stall_ride_index(
     Raises:
         DeadlockError: as simulate does.
     """
+    walk, ride, _ = _stage_ticks(speeds or DEFAULT_SPEEDS)
     log = _Log()
-    _execute(M, *_stage_ticks(speeds or DEFAULT_SPEEDS), log=log)
+    _execute(M, walk, ride, log=log)
     return min(log.stalls)[4] if log.stalls else None
 
 
@@ -339,77 +342,57 @@ class CohortProfile:
 def cohort_profile(trace: SimulationTrace) -> CohortProfile:
     """Sample a stall-free trace at every event time and midpoint.
 
-    The samples are every arrival and departure time plus the midpoint
-    of each pair of consecutive ones.  Positions are piecewise linear
-    between events, so counts and gap extrema over an interval show up
-    either at its ends or at a single interior sample; one midpoint per
+    The samples are every arrival time plus the midpoint of each pair
+    of consecutive ones.  Positions are piecewise linear between
+    events, so counts and gap extrema over an interval show up either
+    at its ends or at a single interior sample; one midpoint per
     interval therefore suffices.
 
-    The sweep runs on an exact integer clock.  A tick is 1/T with T
-    twice the lcm of the time denominators, so every midpoint is a
-    whole tick; a stage is T*D position units with D the lcm of the two
-    speed denominators, so a traveller moves a whole number of units
-    per tick.  Each traveller keeps a pointer into their own departures
-    and arrivals that only moves forward as the samples ascend, so S
-    samples (S < 2n(2m+1)) cost O(S * n log n) integer operations.
-    The gap and spread come back as Fractions.
+    Nobody waits in a stall-free run, so each traveller leaves every
+    post on arrival and reaches post j after the walk and ride ticks of
+    their own first j stages (see _stage_ticks): the profile follows
+    from the scheme's rows and the speeds alone.  The sweep counts half
+    ticks, so every midpoint is whole; a stage is 2*walk*ride position
+    units, covered at ride units per half tick walking and walk units
+    riding.  Each traveller keeps a pointer into their own arrivals
+    that only moves forward as the samples ascend, so S samples
+    (S <= 2nm + 1) cost O(S * n log n) integer operations.  The gap and
+    spread come back as Fractions.
 
     Raises:
         ValueError: the trace has stalls.
     """
     if trace.stall_events:
         raise ValueError("cohort profile requires a stall-free trace")
-    arrivals, departures = trace.post_arrival_times, trace.depart_times
-    T = 2 * lcm(*{t.denominator for row in arrivals + departures for t in row})
-    walk, cycle = trace.speeds.walk_speed, trace.speeds.cycle_speed
-    D = lcm(walk.denominator, cycle.denominator)
-    unit = T * D
-    # Position units covered per tick, walking and riding.
-    pace = (
-        walk.numerator * (D // walk.denominator),
-        cycle.numerator * (D // cycle.denominator),
-    )
-
-    n, m = trace.scheme.n, trace.scheme.m
-    # edges[i] lists traveller i's ticks depart 0, arrive 1, depart 1,
-    # ..., arrive m: before edges[i][2j] they wait at post j, before
-    # edges[i][2j+1] they are on stage j.
-    edges = [
-        [
-            t.numerator * (T // t.denominator)
-            for pair in zip(departures[i], arrivals[i][1:])
-            for t in pair
-        ]
-        for i in range(n)
-    ]
-    times = {row[0].numerator * (T // row[0].denominator) for row in arrivals}
-    for e in edges:
-        times.update(e)
-    ordered = sorted(times)
+    walk, ride, _ = _stage_ticks(trace.speeds)
+    m = trace.scheme.m
+    unit = 2 * walk * ride
+    # legs[i] holds traveller i's arrival half ticks at posts 0..m and
+    # their pace on stages 0..m-1, then 0 once at post m.
+    legs = []
+    for x in trace.scheme.masks:
+        paces = [walk if x >> j & 1 else ride for j in range(m)]
+        arrive = list(accumulate((unit // p for p in paces), initial=0))
+        paces.append(0)
+        legs.append((arrive, paces))
+    ordered = sorted({t for arrive, _ in legs for t in arrive})
     samples = ordered[:1]
     for a, b in zip(ordered, ordered[1:]):
         samples.append((a + b) // 2)
         samples.append(b)
 
-    bikes = trace.stage_bike
-    end = 2 * m
-    ptr = [0] * n
+    ptr = [0] * len(legs)
     max_positions = 1
     max_gap = 0
     max_spread = 0
     for tau in samples:
         spots = set()
-        for i in range(n):
-            e = edges[i]
+        for i, (arrive, paces) in enumerate(legs):
             p = ptr[i]
-            while p < end and e[p] <= tau:
+            while p < m and arrive[p + 1] <= tau:
                 p += 1
             ptr[i] = p
-            j, moving = divmod(p, 2)
-            if moving:
-                spots.add(j * unit + (tau - e[p - 1]) * pace[bikes[i][j] is not None])
-            else:
-                spots.add(j * unit)
+            spots.add(p * unit + (tau - arrive[p]) * paces[p])
         here = sorted(spots)
         max_positions = max(max_positions, len(here))
         max_spread = max(max_spread, here[-1] - here[0])
@@ -467,12 +450,13 @@ def write_trace_csv(trace: SimulationTrace, out: IO[str]):
         rows.append((s.start + s.wait, s.traveller, s.post, "stall_end", ""))
     for h in trace.handover_events:
         rows.append((h.time, h.taker, h.post, "handover", h.bike))
-    # Sorting on whole ticks of 1/T orders rows exactly as their
-    # Fraction times would, without Fraction comparisons.
-    T = lcm(*{r[0].denominator for r in rows})
+    # Every time is a whole number of ticks (see _stage_ticks), so
+    # sorting on ticks orders rows exactly as their Fraction times would,
+    # without Fraction comparisons.
+    per_unit = _stage_ticks(trace.speeds)[2]
     rows.sort(
         key=lambda r: (
-            r[0].numerator * (T // r[0].denominator),
+            r[0].numerator * (per_unit // r[0].denominator),
             r[1],
             _EVENT_RANK[r[3]],
             r[2],

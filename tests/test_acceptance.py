@@ -180,6 +180,28 @@ def test_c08_group_stays_in_three_tight_cohorts():
     print("criterion 8 PASS: <= 3 cohorts with gaps < 1 for 2k <= n <= 24; ratio 100 spreads past n-2")
 
 
+def test_c13_cohort_separation_stays_under_two_stages():
+    # The abstract bounds the separation of transpose-cyclic's three
+    # cohorts, for 2k <= n, to under 2/n of the journey: under two of
+    # its n stages.
+    peak = Fraction(0)
+    for n in range(1, 25):
+        for k in range(n // 2 + 1):
+            M = transpose_cyclic_matrix(n, k)
+            for ratio in (Fraction(3, 2), Fraction(2), Fraction(5), Fraction(100)):
+                prof = cohort_profile(simulate(M, SpeedModel(1, ratio)))
+                assert prof.max_positions <= 3, (n, k, ratio)
+                assert prof.max_spread < 2, (n, k, ratio, prof)
+                peak = max(peak, prof.max_spread)
+    assert peak == Fraction(99, 50)
+    # At (5, 2) the spread is 2 - 2/ratio, so the bound is approached
+    # as cycling gets faster but never reached.
+    for ratio in (10, 100, 1000):
+        prof = cohort_profile(simulate(transpose_cyclic_matrix(5, 2), SpeedModel(1, ratio)))
+        assert prof.max_spread == 2 - Fraction(2, ratio), ratio
+    print("criterion 13 PASS: separation < 2 stages for 2k <= n <= 24; peak 99/50 at ratio 100")
+
+
 def test_c09_cyclic_determinants():
     for n in range(2, 13):
         for k in range(0, n + 1):

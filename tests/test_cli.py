@@ -100,11 +100,15 @@ def test_check_tie_order_aliases(fixtures_dir):
 
 
 def test_check_no_skip_rule_same_verdict(fixtures_dir):
-    path = str(fixtures_dir / "split_riders_swapped.mat")
-    a = invoke("check", path)
-    b = invoke("check", path, "--no-skip-rule")
-    assert a[0] == b[0] == 1
-    assert a[1] == b[1]
+    for name, tie_order in (
+        ("split_riders_swapped.mat", "drop-first"),
+        ("take_first_outer_tie.mat", "take-first"),
+    ):
+        path = str(fixtures_dir / name)
+        a = invoke("check", path, "--tie-order", tie_order)
+        b = invoke("check", path, "--tie-order", tie_order, "--no-skip-rule")
+        assert a[0] == b[0] == 1, name
+        assert a[1] == b[1], name
 
 
 def test_porcelain_is_flat_and_stable(fixtures_dir):

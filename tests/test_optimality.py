@@ -60,6 +60,9 @@ def reference_decide(M, use_skip_rule=True, tie_order=TieOrder.DROP_FIRST):
     m = M.m
     if m < 2:
         return Verdict(True, uni.k, "optimal")
+    # The skip rule holds under drop-first only: under take-first a tie
+    # can put a taker first at the outer boundaries.
+    use_skip_rule = use_skip_rule and tie_order is TieOrder.DROP_FIRST
     if use_skip_rule and (uni.l <= 2 or uni.l >= m - 2):
         return Verdict(True, uni.k, "optimal")
     table = prefix_sums(M).table
@@ -143,15 +146,19 @@ def test_verdict_on_non_uniform():
 
 
 def test_skip_rule_changes_nothing_small():
-    # Exhaustive over every uniform matrix with n <= 4.
+    # Exhaustive over every uniform matrix with n <= 5, under both tie
+    # orders; the enumerator's verdict is the drop-first one.
     diffs = []
 
     def visit(M, optimal):
-        full = decide_optimal(M, use_skip_rule=False)
-        if full.optimal != optimal:
-            diffs.append(M)
+        if decide_optimal(M, use_skip_rule=False).optimal != optimal:
+            diffs.append((M.rows, "enumerator"))
+        for order in TieOrder:
+            full = decide_optimal(M, use_skip_rule=False, tie_order=order)
+            if decide_optimal(M, tie_order=order) != full:
+                diffs.append((M.rows, order))
 
-    for n in range(1, 5):
+    for n in range(1, 6):
         for k in range(0, n + 1):
             enumerate_uniform(n, k, visit)
     assert diffs == []

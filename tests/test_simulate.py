@@ -528,11 +528,21 @@ def _cohort_reference_cases():
     for n in range(1, 13):
         for k in range(n + 1):
             M = transpose_cyclic_matrix(n, k)
+            plan = build_assignment_plan(M)
             for speeds in (SpeedModel(1, Fraction(3, 2)), ODD, SpeedModel(1, 100)):
                 yield simulate(M, speeds)
+                yield simulate(M, speeds, "plan", plan)
     for n, k in ((4, 2), (6, 4), (9, 6)):
         for r in (1, 2, 3):
-            yield simulate(block_compose(n, k, r, default_block_cells(n, k, r)), ODD)
+            M = block_compose(n, k, r, default_block_cells(n, k, r))
+            yield simulate(M, ODD)
+            yield simulate(M, ODD, "plan", build_assignment_plan(M))
+    # Walking the last stage instead leaves the row sums unequal, so the
+    # travellers finish at different times and must stay at post m.
+    for n in range(2, 9):
+        for k in range(1, n):
+            M = transpose_cyclic_matrix(n, k)
+            yield simulate(BinaryScheme([r[:-1] + (0,) for r in M.rows]), ODD)
     five_two = []
     enumerate_uniform(5, 2, lambda M, optimal: five_two.append(M))
     for M in five_two:
@@ -542,14 +552,17 @@ def _cohort_reference_cases():
 def test_cohort_profile_equals_the_fraction_reference():
     # Nobody waits in a stall-free run, so each trajectory is fixed by
     # its own row and the profile by the multiset of rows: the slow
-    # reference runs once per multiset (22 of them among the 2040
-    # (5,2) matrices), the sweep on every trace.
+    # reference runs once per multiset and policy (22 multisets among
+    # the 2040 (5,2) matrices), the sweep on every trace.  Some plan
+    # runs hand bicycles on differently from the greedy ones; the sweep
+    # reads neither's bicycles nor times.
     reference = {}
     seen = set()
     for tr in _cohort_reference_cases():
-        assert tr == reference_simulate(tr.scheme, tr.speeds)
+        plan = build_assignment_plan(tr.scheme) if tr.policy == "plan" else None
+        assert tr == reference_simulate(tr.scheme, tr.speeds, tr.policy, plan)
         assert tr.stall_events == ()
-        key = (tuple(sorted(tr.scheme.rows)), tr.speeds)
+        key = (tuple(sorted(tr.scheme.rows)), tr.speeds, tr.policy)
         if key not in reference:
             reference[key] = _reference_cohort_profile(tr)
         got = cohort_profile(tr)
