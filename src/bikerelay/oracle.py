@@ -58,7 +58,7 @@ def enumerate_uniform(
     force: bool = False,
     max_examples: int = 4,
 ) -> EnumerationReport:
-    """Visit every n x n binary matrix whose rows and columns all sum to k.
+    """Census of the n x n binary matrices whose rows and columns all sum to k.
 
     Columns are generated left to right, choosing each column's
     support in lexicographic order; a row whose missing rides equal
@@ -71,9 +71,12 @@ def enumerate_uniform(
     The verdict is decided on the column prefix: placing column b+1
     tests boundary b, for the boundaries decide_optimal scans, while
     the prefix is still optimal, and every matrix below the prefix
-    shares the outcome.  Without a visitor, a prefix whose verdict is
-    settled and whose matrices cannot add an example is not descended:
-    the number of its completions is counted instead.
+    shares the outcome.  Without a visitor, what each finished prefix
+    adds to the totals is memoised on its row classes (see place), so
+    the descent counts classes of prefixes rather than matrices.  A
+    memoised prefix is descended again only while it may still add a
+    wanted example, so the examples are the first max_examples
+    non-optimal matrices in the order the visitor would see them.
 
     Raises:
         ValueError: k out of range, or n beyond the exhaustive guard
@@ -93,19 +96,12 @@ def enumerate_uniform(
     cols: list[int] = []
     total = optimal = 0
     examples: list[BinaryScheme] = []
-    completions: dict[tuple[int, tuple[int, ...]], int] = {}
+    memo: dict[tuple, tuple[int, int]] = {}
 
     def place(j: int, slices: list[int], ok: bool):
         # slices holds the ride counts through column j-1, kept only
         # while a later scanned boundary still needs them.
         nonlocal total, optimal
-        if visitor is None and (not ok or j >= settled_at):
-            if ok or len(examples) >= max_examples:
-                count = _count_completions(n - j, k, caps, completions)
-                total += count
-                if ok:
-                    optimal += count
-                return
         if j == n:
             total += 1
             M = BinaryScheme._from_masks(tuple(masks), n, tuple(cols))
@@ -116,6 +112,24 @@ def enumerate_uniform(
             if visitor is not None:
                 visitor(M, ok)
             return
+        if visitor is None:
+            # A row's class is its cap and whether it rides column j-1.
+            # A row permutation that maps one prefix's classes onto
+            # another's maps their completions one to one, and keeps
+            # every later word: the word is read off ride counts (caps)
+            # and the two columns beside the boundary, and rows tied on
+            # ride count that both drop (or both take) carry the same
+            # letter.  So the two prefixes add the same (total, optimal).
+            last = cols[-1] if cols else 0
+            classes = sorted(2 * c + (last >> i & 1) for i, c in enumerate(caps))
+            key = (j, ok, tuple(classes))
+            hit = memo.get(key)
+            # Taken unless the subtree may hold an example still wanted.
+            if hit is not None and (hit[0] == hit[1] or len(examples) >= max_examples):
+                total += hit[0]
+                optimal += hit[1]
+                return
+            before = total, optimal
         cols_left = n - j
         forced = [i for i in range(n) if caps[i] == cols_left]
         if len(forced) > k:
@@ -147,6 +161,8 @@ def enumerate_uniform(
             for i in support:
                 caps[i] += 1
                 masks[i] ^= bit
+        if visitor is None:
+            memo[key] = (total - before[0], optimal - before[1])
 
     place(0, [], True)
     return EnumerationReport(
@@ -157,36 +173,6 @@ def enumerate_uniform(
         nonoptimal_count=total - optimal,
         minimal_nonoptimal_examples=tuple(examples),
     )
-
-
-def _count_completions(
-    cols_left: int,
-    k: int,
-    caps: list[int],
-    memo: dict[tuple[int, tuple[int, ...]], int],
-) -> int:
-    """How many ways cols_left more columns of sum k meet every row's cap exactly."""
-    key = (cols_left, tuple(sorted(caps)))
-    count = memo.get(key)
-    if count is not None:
-        return count
-    if cols_left == 0:
-        count = 1
-    else:
-        forced = [i for i, c in enumerate(caps) if c == cols_left]
-        free = [i for i, c in enumerate(caps) if 0 < c < cols_left]
-        need = k - len(forced)
-        count = 0
-        if 0 <= need <= len(free):
-            for combo in combinations(free, need):
-                rest = list(caps)
-                for i in forced:
-                    rest[i] -= 1
-                for i in combo:
-                    rest[i] -= 1
-                count += _count_completions(cols_left - 1, k, rest, memo)
-    memo[key] = count
-    return count
 
 
 def cross_validate(

@@ -208,7 +208,11 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
         DeadlockError: with a log, at the first post where a taker has
             no bicycle to wait for.
     """
-    rows, cols, n, m = M.rows, M.col_masks, M.n, M.m
+    cols, n, m = M.col_masks, M.n, M.m
+    # Each column's digits, row 0 first: bin gives '0b1' and then the
+    # digits from row n-1 down, with the 1 << n bit as a sentinel.
+    top = 1 << n
+    digits = [bin(col | top)[:2:-1] for col in cols]
     cur = [0] * n  # each traveller's tick at the current post
     bike: list[int | None] = [None] * n
     if log is not None:
@@ -219,8 +223,8 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
         if log is not None:
             log.depart.append(cur[:])
             log.bikes.append(bike)
-        for i in range(n):
-            cur[i] += ride if rows[i][j - 1] else walk
+        for i, c in enumerate(digits[j - 1]):
+            cur[i] += ride if c == "1" else walk
         if log is not None:
             log.arrive.append(cur[:])
         if j == m:
@@ -242,7 +246,7 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
             matches = _first_come(takers, droppers, cur, bike)
         else:
             matches = _as_planned(j, takers, givers[j - 1], cur)
-        held, bike = bike, [b if row[j] else None for b, row in zip(bike, rows)]
+        held, bike = bike, [b if c == "1" else None for b, c in zip(bike, digits[j])]
         for taker, giver, dep in matches:
             t_arr = cur[taker]
             if dep > t_arr:

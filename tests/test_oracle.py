@@ -131,6 +131,32 @@ def test_enumeration_counts_settled_prefixes_to_the_known_census():
         rep = enumerate_uniform(n, k, force=True)
         want = {7: 3_110_940, 8: 187_530_840}[n]
         assert (rep.total_uniform, rep.optimal_count, rep.nonoptimal_count) == (want, want, 0)
+    # OEIS A001501: all line sums 3.
+    for n, want in ((8, 24_046_189_440), (9, 12_025_780_892_160)):
+        assert enumerate_uniform(n, 3, force=True).total_uniform == want
+    # Non-optimal counts beyond the labelled reference's reach, pinned
+    # from a separate count over row classes.
+    for n, k, want in ((7, 3, 4_412_940), (7, 4, 4_412_940), (8, 4, 14_837_357_640)):
+        rep = enumerate_uniform(n, k, force=True)
+        assert rep.nonoptimal_count == want, (n, k)
+        assert rep.optimal_count + want == rep.total_uniform
+        if (n, k) == (7, 3):
+            # The first examples in the labelled descent's order: a
+            # memoised prefix that may still hold a wanted example is
+            # descended again, not counted.
+            assert [M.masks for M in rep.minimal_nonoptimal_examples] == [
+                (7, 7, 19, 28, 104, 104, 112),
+                (7, 7, 19, 28, 104, 112, 104),
+                (7, 7, 19, 28, 112, 104, 104),
+                (7, 7, 19, 52, 88, 104, 104),
+            ]
+    # The binary dual maps (n, k) matrices onto (n, n-k) ones and keeps
+    # optimality, so the counts at k and n-k agree.
+    for n in range(1, 10):
+        counts = [enumerate_uniform(n, k, force=True) for k in range(n + 1)]
+        for k in range(n + 1):
+            a, b = counts[k], counts[n - k]
+            assert (a.total_uniform, a.nonoptimal_count) == (b.total_uniform, b.nonoptimal_count)
 
 
 @pytest.mark.parametrize("n", sorted(UNIFORM_COUNTS))

@@ -18,6 +18,7 @@ from bikerelay import (
     cyclic_matrix,
     decide_optimal,
     default_block_cells,
+    first_stall_ride_index,
     format_scheme,
     is_executable_without_stall,
     is_single_ride_cyclic,
@@ -26,6 +27,7 @@ from bikerelay import (
     prefix_sums,
     reduce_scheme,
     reverse_stages,
+    simulate,
     transpose,
     transpose_cyclic_matrix,
     uniformity,
@@ -398,8 +400,8 @@ def rows_slot_is_empty(M):
     return False
 
 
-def test_only_the_executor_builds_the_rows_view(fixtures_dir):
-    # Every layer but the greedy executor reads masks, so on schemes
+def test_no_layer_builds_the_rows_view(fixtures_dir):
+    # Every layer, the greedy executor too, reads masks, so on schemes
     # built from masks none of them fills the rows slot.
     text = format_scheme(transpose_cyclic_matrix(11, 7))
     M = parse_scheme(text)
@@ -429,8 +431,10 @@ def test_only_the_executor_builds_the_rows_view(fixtures_dir):
     assert is_single_ride_cyclic(made[-3])
     assert uniformity(made[-1]).is_uniform
     assert format_scheme(M) == text
+    assert is_executable_without_stall(M) and not is_executable_without_stall(swapped)
+    assert not simulate(M).stall_events
+    assert not simulate(M, policy="plan", plan=P).stall_events
+    assert first_stall_ride_index(M) is None
+    assert first_stall_ride_index(swapped) is not None
     for S in made:
         assert rows_slot_is_empty(S), S
-    # The executor still reads rows, so the probe does see a filled slot.
-    assert is_executable_without_stall(M)
-    assert not rows_slot_is_empty(M)
