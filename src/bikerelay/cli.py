@@ -22,13 +22,13 @@ from .generators import (
 )
 from .optimality import (
     TieOrder,
-    _word_letters,
     build_assignment_plan,
+    canonical_word,
     decide_optimal,
 )
 from .oracle import (
     DEFAULT_SPEED_RATIOS,
-    _stall_probe,
+    cross_validate,
     determinant_exact,
     enumerate_uniform,
 )
@@ -145,8 +145,8 @@ def _cmd_check(args) -> int:
         pairs.append(("failing_boundary_index", verdict.failing_boundary))
         pairs.append(("failing_word", verdict.failing_word))
         if args.witness:
-            entries = _word_letters(M, verdict.failing_boundary, tie_order)
-            pairs.append(("failing_rows", " ".join(str(e[2]) for e in entries)))
+            word = canonical_word(M, verdict.failing_boundary, tie_order)
+            pairs.append(("failing_rows", " ".join(map(str, word.rows))))
     elif verdict.optimal and args.witness:
         plan = build_assignment_plan(M, tie_order)
         for b in range(plan.boundaries):
@@ -222,10 +222,8 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    mismatches = []
-    probe = _stall_probe(mismatches) if args.cross_validate else None
     report = enumerate_uniform(
-        args.n, args.k, probe, force=args.force, max_examples=args.max_examples
+        args.n, args.k, force=args.force, max_examples=args.max_examples
     )
     pairs = [
         ("n", report.n),
@@ -237,8 +235,8 @@ def _cmd_enum(args) -> int:
     for idx, M in enumerate(report.minimal_nonoptimal_examples, start=1):
         pairs.append((f"example_{idx}", ";".join(_digit_rows(M.masks, M.m))))
     if args.cross_validate:
-        pairs.append(("speed_ratios", " ".join(_frac(Fraction(r)) for r in DEFAULT_SPEED_RATIOS)))
-        pairs.append(("mismatches", len(mismatches)))
+        pairs.append(("speed_ratios", " ".join(map(_frac, DEFAULT_SPEED_RATIOS))))
+        pairs.append(("mismatches", len(cross_validate(args.n, args.k, force=args.force))))
     _emit(args, pairs)
     return 0
 

@@ -1,12 +1,13 @@
 """Ground-truth machinery for checking the decision algorithm.
 
-Uniform matrices are enumerated by brute force, and each one's verdict
-is decided on its column prefix with the same boundary test as
-decide_optimal (_is_dyck_at over _scanned_boundaries).  The checks on
-that verdict are deliberately independent of the word-based decision:
-the stall probe of cross_validate executes every matrix greedily,
-determinants come from fraction-free elimination, and the cyclic
-family's structure claims are verified entry by entry.
+enumerate_uniform counts the n x n matrices with all line sums k,
+deciding each verdict on the column prefix with decide_optimal's
+boundary test (_is_dyck_at over _scanned_boundaries); without a visitor
+it counts row classes of prefixes.  The checks on that verdict are
+deliberately independent of the word-based decision: cross_validate
+executes every matrix greedily at several speed ratios, determinants
+come from fraction-free elimination, and the cyclic family's structure
+claims are verified entry by entry.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class EnumerationReport:
     total_uniform: int
     optimal_count: int
     nonoptimal_count: int
-    mismatches: tuple = ()
     minimal_nonoptimal_examples: tuple[BinaryScheme, ...] = ()
 
 
@@ -188,29 +188,16 @@ def cross_validate(
     any disagreement with the word-based verdict (or among the ratios)
     is returned.  An empty list is the expected outcome.
     """
+    ticks = [_stage_ticks(SpeedModel(1, r)) for r in speed_ratios]
     mismatches: list[Mismatch] = []
-    enumerate_uniform(n, k, _stall_probe(mismatches, speed_ratios), force=force)
-    return mismatches
-
-
-def _stall_probe(
-    mismatches: list[Mismatch],
-    speed_ratios: tuple[Fraction, ...] = DEFAULT_SPEED_RATIOS,
-) -> Callable[[BinaryScheme, bool], None]:
-    """An enumerate_uniform visitor that executes each matrix greedily.
-
-    The greedy execution runs on the integer clock at every speed
-    ratio; each matrix where it disagrees with the word verdict is
-    appended to mismatches.
-    """
-    ticks = [_stage_ticks(SpeedModel(1, Fraction(r))) for r in speed_ratios]
 
     def probe(M: BinaryScheme, dyck_optimal: bool):
         flags = tuple(_execute(M, w, r) for w, r, _ in ticks)
         if any(flag != dyck_optimal for flag in flags):
             mismatches.append(Mismatch(M, dyck_optimal, flags))
 
-    return probe
+    enumerate_uniform(n, k, probe, force=force)
+    return mismatches
 
 
 def random_uniform(n: int, k: int, rng: random.Random) -> BinaryScheme:

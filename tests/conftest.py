@@ -34,3 +34,8 @@ def handover_free():
 @pytest.fixture(scope="session")
 def tie_order_split():
     return load_fixture("tie_order_split.mat")
+
+
+@pytest.fixture(scope="session")
+def late_first_stall():
+    return load_fixture("late_first_stall.mat")

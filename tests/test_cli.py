@@ -8,13 +8,16 @@ import pytest
 
 from bikerelay import (
     BinaryScheme,
+    Mismatch,
     TieOrder,
     canonical_word,
+    cross_validate,
     cyclic_matrix,
     enumerate_uniform,
     format_scheme,
     parse_scheme,
 )
+from bikerelay import oracle
 from bikerelay.cli import build_parser, run
 
 
@@ -175,6 +178,16 @@ def test_sim_command(tmp_path, fixtures_dir):
     assert text.startswith("time,traveller,post,event,bike")
 
 
+def test_sim_orders_stalls_by_time(fixtures_dir):
+    # The earliest stall is at post 6 on ride 6; the stall at the
+    # lowest post (post 4) is on ride 3.
+    path = str(fixtures_dir / "late_first_stall.mat")
+    code, out, _ = invoke("sim", path, "--cycle", "10", "--porcelain")
+    assert code == 0
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["first_stall_ride"] == "6"
+
+
 def test_sim_plan_policy(fixtures_dir):
     code, out, _ = invoke("sim", str(fixtures_dir / "split_riders.mat"), "--policy", "plan")
     assert code == 0
@@ -220,9 +233,30 @@ def test_enum_cross_validate():
     assert "mismatches: 0" in out
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_enum_cross_validate_only_appends_its_two_keys(n):
+    for k in range(n + 1):
+        argv = ["enum", "--n", str(n), "--k", str(k), "--porcelain"]
+        code, plain, _ = invoke(*argv)
+        assert code == 0
+        extra = "speed_ratios: 3/2 2/1 10/1\nmismatches: 0\n"
+        assert invoke(*argv, "--cross-validate") == (0, plain + extra, ""), (n, k)
+
+
+def test_cross_validation_reports_a_planted_mismatch(monkeypatch):
+    planted = cyclic_matrix(5, 2)
+    execute = oracle._execute
+    monkeypatch.setattr(oracle, "_execute", lambda M, *a: execute(M, *a) != (M == planted))
+    assert cross_validate(5, 2) == [Mismatch(planted, True, (False, False, False))]
+    code, out, _ = invoke("enum", "--n", "5", "--k", "2", "--cross-validate", "--porcelain")
+    assert code == 0
+    assert out.endswith("mismatches: 1\n")
+
+
 def test_enum_guard_without_force():
-    code, _, err = invoke("enum", "--n", "9", "--k", "2")
+    code, out, err = invoke("enum", "--n", "9", "--k", "2")
     assert code == 2 and "error:" in err
+    assert invoke("enum", "--n", "9", "--k", "2", "--cross-validate") == (code, out, err)
 
 
 def test_det_command():

@@ -380,20 +380,16 @@ def reference_first_stall_ride_index(trace):
     return first.ride_index
 
 
-def test_first_stall_equals_the_simulated_reference(split_riders, split_riders_swapped):
+def test_first_stall_equals_the_simulated_reference(
+    split_riders, split_riders_swapped, late_first_stall
+):
     # Without a visitor, max_examples=9560 collects every stalling (6,3) matrix.
     stalling = enumerate_uniform(6, 3, max_examples=9560).minimal_nonoptimal_examples
     assert len(stalling) == 9560
     # At ratio 10 this scheme's earliest stall (post 6, ride 6) starts
     # before the stall at its lowest stalling post (post 4, ride 3).
-    late_first = parse_scheme(
-        "11 11\n1 1 1 0 1 0 0 1 1 0 0\n0 0 0 1 0 1 1 1 0 1 1\n1 1 1 1 1 0 1 0 0 0 0\n"
-        "1 1 0 0 1 0 0 1 1 1 0\n0 0 0 1 0 1 0 1 1 1 1\n0 1 1 1 0 0 1 0 0 1 1\n"
-        "1 1 1 0 0 0 1 0 1 0 1\n0 0 0 0 1 1 1 1 0 1 1\n1 0 0 1 1 1 0 1 1 0 0\n"
-        "0 1 1 0 1 1 0 0 1 1 0\n1 0 1 1 0 1 1 0 0 0 1\n"
-    )
-    assert first_stall_ride_index(late_first, SpeedModel(1, 10)) == 6
-    cases = [split_riders, split_riders_swapped, late_first, *stalling]
+    assert first_stall_ride_index(late_first_stall, SpeedModel(1, 10)) == 6
+    cases = [split_riders, split_riders_swapped, late_first_stall, *stalling]
     for M in cases:
         failing = decide_optimal(M).failing_boundary
         for ratio in (Fraction(3, 2), Fraction(2), Fraction(10)):
