@@ -17,7 +17,7 @@ if __name__ == "__main__":
     print("|---:|---:|---:|---:|---:|")
     for n in range(1, 11):
         for k in range(n + 1):
-            rep = enumerate_uniform(n, k, force=True, max_examples=0)
+            rep = enumerate_uniform(n, k, max_examples=0)
             share = 100 * rep.nonoptimal_count / rep.total_uniform
             print(
                 f"| {n} | {k} | {rep.total_uniform:,} | "

@@ -222,9 +222,11 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    report = enumerate_uniform(
-        args.n, args.k, force=args.force, max_examples=args.max_examples
-    )
+    # Cross-validation lists every matrix and may be refused, so it
+    # goes before the census.
+    if args.cross_validate:
+        mismatches = len(cross_validate(args.n, args.k, force=args.force))
+    report = enumerate_uniform(args.n, args.k, max_examples=args.max_examples)
     pairs = [
         ("n", report.n),
         ("k", report.k),
@@ -236,7 +238,7 @@ def _cmd_enum(args) -> int:
         pairs.append((f"example_{idx}", ";".join(_digit_rows(M.masks, M.m))))
     if args.cross_validate:
         pairs.append(("speed_ratios", " ".join(map(_frac, DEFAULT_SPEED_RATIOS))))
-        pairs.append(("mismatches", len(cross_validate(args.n, args.k, force=args.force))))
+        pairs.append(("mismatches", mismatches))
     _emit(args, pairs)
     return 0
 
@@ -317,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-examples", type=int, default=4,
                    help="cap on non-optimal examples to print (default 4)")
     p.add_argument("--force", action="store_true",
-                   help="lift the exhaustive-size guard")
+                   help="let --cross-validate list every matrix beyond n = 7")
     p.set_defaults(func=_cmd_enum)
 
     p = sub.add_parser("det", parents=[common],

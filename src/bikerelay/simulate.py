@@ -10,12 +10,14 @@ Under a plan policy each traveller waits for the specific bicycle the
 plan assigns.
 
 Times and positions are exact.  _stage_ticks states the clock, on
-which both stage durations are whole ticks; the one executor,
-_execute, counts those ticks, simulate turns them into Fractions, and
-cohort_profile and write_trace_csv read the same clock.  Simultaneous
-arrivals (equal ride counts) are exactly the handovers the optimality
-theory relies on, so float rounding would turn ties into races and
-change verdicts.
+which both stage durations are whole ticks.  The one executor,
+_execute, counts those ticks and states the service rule once for
+both policies; it numbers bicycles only for a trace (simulate), and
+first_stall_ride_index runs it to the end but records only the
+stalls.  simulate turns ticks into Fractions, and cohort_profile and
+write_trace_csv read the same clock.  Simultaneous arrivals (equal
+ride counts) are exactly the handovers the optimality theory relies
+on, so float rounding would turn ties into races and change verdicts.
 """
 
 from __future__ import annotations
@@ -175,12 +177,14 @@ class _Log:
     they leave post j and bikes[j][i] the bicycle they ride on stage j
     (None when walking).  stalls holds (start, post, traveller, wait,
     ride index) and handovers (time, post, giver, taker, bike), in the
-    order they happen post by post.
+    order they happen post by post.  A log made with full=False keeps
+    only the stalls.
     """
 
-    __slots__ = ("arrive", "depart", "bikes", "stalls", "handovers")
+    __slots__ = ("full", "arrive", "depart", "bikes", "stalls", "handovers")
 
-    def __init__(self):
+    def __init__(self, full: bool = True):
+        self.full = full
         self.arrive, self.depart, self.bikes = [], [], []
         self.stalls, self.handovers = [], []
 
@@ -188,108 +192,102 @@ class _Log:
 def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> bool:
     """Run M on the integer clock; whether nobody stalls.
 
-    A stage takes walk or ride whole ticks (see _stage_ticks).  All
-    bicycles start at post 0, numbered 0, 1, ... over the riders of
-    stage 0 in row order.  At post j the droppers are C[j-1] & ~C[j]
-    and the takers C[j] & ~C[j-1], with C the column masks; everybody
-    else leaves on arrival.  With givers None (greedy) the takers are
-    served in (arrival, row) order and the r-th leaves at the later of
-    their arrival and the r-th earliest drop, on the lowest-numbered
-    bicycle parked by then: first come first served.  Otherwise
-    givers[j-1] maps each taker to the dropper whose bicycle they wait
-    for, and the takers are served in row order.
+    A stage takes walk or ride whole ticks (see _stage_ticks).  At post
+    j the droppers are C[j-1] & ~C[j] and the takers C[j] & ~C[j-1],
+    with C the column masks; everybody else leaves on arrival.  With
+    givers None (greedy) the takers are served in (arrival, row) order
+    and drop r is the r-th earliest drop: first come first served.
+    Otherwise givers[j-1] maps each taker to the dropper whose bicycle
+    they wait for, the takers are served in row order and drop r is
+    when taker r's giver arrives.  Either way taker r leaves at the
+    later of their arrival and drop r.
 
     Without a log the run stops at the first stall, or at the first
     post with more takers than droppers, and returns False.  With a
-    log (needed for givers) it runs to the end and records every
-    event.
+    log it runs to the end and records the stalls.  Only a full log
+    (needed for givers) records the rest and numbers the bicycles: 0,
+    1, ... over the riders of stage 0 in row order, and a greedy taker
+    gets the lowest-numbered bicycle parked when they leave.
 
     Raises:
         DeadlockError: with a log, at the first post where a taker has
             no bicycle to wait for.
     """
     cols, n, m = M.col_masks, M.n, M.m
+    full = log is not None and log.full
     # Each column's digits, row 0 first: bin gives '0b1' and then the
     # digits from row n-1 down, with the 1 << n bit as a sentinel.
     top = 1 << n
     digits = [bin(col | top)[:2:-1] for col in cols]
     cur = [0] * n  # each traveller's tick at the current post
-    bike: list[int | None] = [None] * n
-    if log is not None:
+    if full:
+        bike: list[int | None] = [None] * n
         for b, i in enumerate(_mask_rows(cols[0])):
             bike[i] = b
         log.arrive.append(cur[:])
-    for j in range(1, m + 1 if log is not None else m):
-        if log is not None:
+    for j in range(1, m + 1 if full else m):
+        if full:
             log.depart.append(cur[:])
             log.bikes.append(bike)
         for i, c in enumerate(digits[j - 1]):
             cur[i] += ride if c == "1" else walk
-        if log is not None:
+        if full:
             log.arrive.append(cur[:])
-        if j == m:
-            break
+            if j == m:
+                break
+            held, bike = bike, [b if c == "1" else None for b, c in zip(bike, digits[j])]
         prev, col = cols[j - 1], cols[j]
-        droppers, takers = _mask_rows(prev & ~col), _mask_rows(col & ~prev)
-        if givers is None and len(takers) > len(droppers):
-            if log is None:
-                return False
-            raise DeadlockError(j)
-        if log is None:
-            if takers:
-                drops = sorted([cur[i] for i in droppers])
-                for r, t_arr in enumerate(sorted([cur[i] for i in takers])):
-                    if drops[r] > t_arr:
-                        return False
+        takers = _mask_rows(col & ~prev)
+        if not takers:
             continue
         if givers is None:
-            matches = _first_come(takers, droppers, cur, bike)
+            droppers = _mask_rows(prev & ~col)
+            if len(takers) > len(droppers):
+                if log is None:
+                    return False
+                raise DeadlockError(j)
+            drops = sorted([cur[i] for i in droppers])
+            if log is None:
+                arrivals = sorted([cur[i] for i in takers])
+            else:
+                takers.sort(key=cur.__getitem__)
+                arrivals = [cur[i] for i in takers]
+            if full:
+                droppers.sort(key=cur.__getitem__)
+                parked: list[tuple[int, int]] = []  # (bicycle, giver) heap
+                dropped = 0
         else:
-            matches = _as_planned(j, takers, givers[j - 1], cur)
-        held, bike = bike, [b if c == "1" else None for b, c in zip(bike, digits[j])]
-        for taker, giver, dep in matches:
-            t_arr = cur[taker]
-            if dep > t_arr:
+            plan = givers[j - 1]
+            if not plan.keys() >= set(takers):
+                raise DeadlockError(j)
+            drops = [cur[plan[i]] for i in takers]
+            arrivals = [cur[i] for i in takers]
+        for r, t_arr in enumerate(arrivals):
+            # Taker r leaves at the later of their arrival and drop r.
+            dep = drops[r]
+            if dep <= t_arr:
+                dep = t_arr
+            elif log is None:
+                return False
+            else:
+                taker = takers[r]
                 ride_index = (M.masks[taker] & ((1 << j) - 1)).bit_count() + 1
                 log.stalls.append((t_arr, j, taker, dep - t_arr, ride_index))
                 cur[taker] = dep
+            if not full:
+                continue
+            taker = takers[r]
+            if givers is None:
+                while dropped < len(droppers) and cur[droppers[dropped]] <= dep:
+                    giver = droppers[dropped]
+                    heappush(parked, (held[giver], giver))
+                    dropped += 1
+                giver = heappop(parked)[1]
+            else:
+                giver = plan[taker]
             bike[taker] = held[giver]
             log.handovers.append((dep, j, giver, taker, held[giver]))
     return log is None or not log.stalls
-
-
-def _first_come(takers, droppers, at, bike):
-    """Greedy (taker, giver, departure) matches at one post, in service order.
-
-    Serving the takers one by one from the parked bicycles, the r-th
-    taker leaves at the later of their arrival and the r-th earliest
-    drop, and every bicycle dropped by then and not yet taken is
-    parked; they take the lowest-numbered one.
-    """
-    takers = sorted(takers, key=at.__getitem__)
-    droppers = sorted(droppers, key=at.__getitem__)
-    parked: list[tuple[int, int]] = []  # (bicycle, giver) heap
-    dropped = 0
-    matches = []
-    for r, taker in enumerate(takers):
-        dep = max(at[taker], at[droppers[r]])
-        while dropped < len(droppers) and at[droppers[dropped]] <= dep:
-            giver = droppers[dropped]
-            heappush(parked, (bike[giver], giver))
-            dropped += 1
-        matches.append((taker, heappop(parked)[1], dep))
-    return matches
-
-
-def _as_planned(j, takers, givers, at):
-    """Planned (taker, giver, departure) matches at post j, in row order."""
-    matches = []
-    for taker in takers:
-        giver = givers.get(taker)
-        if giver is None:
-            raise DeadlockError(j)
-        matches.append((taker, giver, max(at[taker], at[giver])))
-    return matches
 
 
 def _stage_ticks(speeds: SpeedModel) -> tuple[int, int, int]:
@@ -323,7 +321,7 @@ def first_stall_ride_index(
         DeadlockError: as simulate does.
     """
     walk, ride, _ = _stage_ticks(speeds or DEFAULT_SPEEDS)
-    log = _Log()
+    log = _Log(full=False)
     _execute(M, walk, ride, log=log)
     return min(log.stalls)[4] if log.stalls else None
 

@@ -128,16 +128,16 @@ def test_enumeration_equals_the_per_leaf_reference_at_n6(k):
 def test_enumeration_counts_settled_prefixes_to_the_known_census():
     # OEIS A001499: n x n binary matrices with all line sums 2.
     for n, k in ((7, 2), (7, 5), (8, 2)):
-        rep = enumerate_uniform(n, k, force=True)
+        rep = enumerate_uniform(n, k)
         want = {7: 3_110_940, 8: 187_530_840}[n]
         assert (rep.total_uniform, rep.optimal_count, rep.nonoptimal_count) == (want, want, 0)
     # OEIS A001501: all line sums 3.
     for n, want in ((8, 24_046_189_440), (9, 12_025_780_892_160)):
-        assert enumerate_uniform(n, 3, force=True).total_uniform == want
+        assert enumerate_uniform(n, 3).total_uniform == want
     # Non-optimal counts beyond the labelled reference's reach, pinned
     # from a separate count over row classes.
     for n, k, want in ((7, 3, 4_412_940), (7, 4, 4_412_940), (8, 4, 14_837_357_640)):
-        rep = enumerate_uniform(n, k, force=True)
+        rep = enumerate_uniform(n, k)
         assert rep.nonoptimal_count == want, (n, k)
         assert rep.optimal_count + want == rep.total_uniform
         if (n, k) == (7, 3):
@@ -153,7 +153,7 @@ def test_enumeration_counts_settled_prefixes_to_the_known_census():
     # The binary dual maps (n, k) matrices onto (n, n-k) ones and keeps
     # optimality, so the counts at k and n-k agree.
     for n in range(1, 10):
-        counts = [enumerate_uniform(n, k, force=True) for k in range(n + 1)]
+        counts = [enumerate_uniform(n, k) for k in range(n + 1)]
         for k in range(n + 1):
             a, b = counts[k], counts[n - k]
             assert (a.total_uniform, a.nonoptimal_count) == (b.total_uniform, b.nonoptimal_count)
@@ -187,10 +187,16 @@ def test_enumeration_collects_limited_examples():
 
 
 def test_enumeration_guard():
-    with pytest.raises(ValueError):
-        enumerate_uniform(8, 4)
-    rep = enumerate_uniform(2, 1, force=True)
-    assert rep.total_uniform == 2
+    # Counting is never refused; listing every matrix beyond n = 7 is.
+    assert enumerate_uniform(8, 4).total_uniform == 116963796250
+    seen = []
+    with pytest.raises(ValueError, match="listing every matrix"):
+        enumerate_uniform(8, 4, lambda M, ok: seen.append(M))
+    with pytest.raises(ValueError, match="listing every matrix"):
+        cross_validate(8, 4)
+    assert seen == []
+    rep = enumerate_uniform(2, 1, lambda M, ok: seen.append(M), force=True)
+    assert rep.total_uniform == len(seen) == 2
 
 
 def test_cross_validate_small():

@@ -28,6 +28,7 @@ from bikerelay import (
     write_trace_csv,
 )
 from bikerelay.optimality import _structural_violation
+from bikerelay.oracle import DEFAULT_SPEED_RATIOS
 from bikerelay.simulate import HandoverEvent, SimulationTrace, StallEvent
 
 HALF = SpeedModel(1, 2)
@@ -419,6 +420,35 @@ def test_first_stall_raises_the_simulated_deadlock():
             find(M, HALF)
         assert exc.value.post == 4
     assert first_stall_ride_index(parse_scheme("2 4\n0 0 1 0\n1 1 0 1\n"), HALF) == 3
+
+
+def test_word_verdict_equals_execution_past_the_exhaustive_range():
+    # random_uniform at n = 16, 32 and 64, far beyond what cross_validate
+    # can list, and a seeded column permutation of each: the word verdict
+    # equals stall-free greedy execution at the cross-validation ratios,
+    # and a first stall is found exactly when the scheme is not optimal.
+    rng = random.Random(20261018)
+    for n in (16, 32, 64):
+        verdicts = set()
+        referenced = 0
+        for k in (2, 3, n // 4, n // 2, n - 3, n - 2) * 2:
+            base = random_uniform(n, k, rng)
+            cols = list(range(n))
+            rng.shuffle(cols)
+            for M in (base, BinaryScheme([[row[c] for c in cols] for row in base.rows])):
+                optimal = decide_optimal(M).optimal
+                verdicts.add(optimal)
+                for ratio in DEFAULT_SPEED_RATIOS:
+                    speeds = SpeedModel(1, ratio)
+                    assert is_executable_without_stall(M, speeds) is optimal, (n, k, ratio)
+                    first = first_stall_ride_index(M, speeds)
+                    assert (first is None) is optimal, (n, k, ratio)
+                    if first is not None and referenced < 3:
+                        referenced += 1
+                        trace = reference_simulate(M, speeds)
+                        assert first == reference_first_stall_ride_index(trace), (n, k, ratio)
+        assert verdicts == {True, False}, n
+        assert referenced == 3, n
 
 
 def test_plan_policy_agrees_with_greedy_on_optimal(split_riders, handover_free):
