@@ -5,9 +5,11 @@ deciding each verdict on the column prefix with decide_optimal's
 boundary test (_is_dyck_at over _scanned_boundaries); without a visitor
 it counts row classes of prefixes.  The checks on that verdict are
 deliberately independent of the word-based decision: cross_validate
-executes every matrix greedily at several speed ratios, determinants
-come from fraction-free elimination, and the cyclic family's structure
-claims are verified entry by entry.
+runs the greedy first-come rule on every matrix at several speed
+ratios, post by post on the arrival ticks, in the same descent and
+once per column prefix, and builds only the matrices where execution
+and words disagree; determinants come from fraction-free elimination,
+and the cyclic family's structure claims are verified entry by entry.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Callable
 
 from .generators import cyclic_matrix
 from .optimality import _add_column, _is_dyck_at, _scanned_boundaries
-from .scheme import BinaryScheme
-from .simulate import SpeedModel, _execute, _stage_ticks
+from .scheme import BinaryScheme, _mask_rows
+from .simulate import SpeedModel, _stage_ticks
 
 EXHAUSTIVE_GUARD = 7
 
@@ -72,8 +74,8 @@ def enumerate_uniform(
     tests boundary b, for the boundaries decide_optimal scans, while
     the prefix is still optimal, and every matrix below the prefix
     shares the outcome.  Without a visitor, what each finished prefix
-    adds to the totals is memoised on its row classes (see place), so
-    the descent counts classes of prefixes rather than matrices.  A
+    adds to the totals is memoised on its row classes (see _descend),
+    so the descent counts classes of prefixes rather than matrices.  A
     memoised prefix is descended again only while it may still add a
     wanted example, so the examples are the first max_examples
     non-optimal matrices in the order the visitor would see them.
@@ -86,6 +88,46 @@ def enumerate_uniform(
         ValueError: k out of range, or a visitor with n beyond the
             exhaustive guard and no force=True.
     """
+    return _descend(n, k, visitor, force, max_examples)
+
+
+def cross_validate(n: int, k: int, *, force: bool = False) -> list[Mismatch]:
+    """Compare the word verdict with greedy execution over all (n, k) matrices.
+
+    Every uniform matrix is executed first come first served at each
+    of DEFAULT_SPEED_RATIOS, decided post by post on the column prefix
+    as the word verdict is (see _descend); any disagreement with the
+    word-based verdict (or among the ratios) is returned, in the order
+    enumerate_uniform visits the matrices.  Only disagreeing matrices
+    are built.  An empty list is the expected outcome.  Every matrix is
+    decided on its own, so the exhaustive guard applies.
+    """
+    mismatches: list[Mismatch] = []
+    _descend(n, k, mismatches.append, force, 0, DEFAULT_SPEED_RATIOS)
+    return mismatches
+
+
+def _descend(
+    n: int,
+    k: int,
+    visitor: Callable | None,
+    force: bool,
+    max_examples: int,
+    ratios: tuple[Fraction, ...] = (),
+) -> EnumerationReport:
+    """The labelled descent behind enumerate_uniform and cross_validate.
+
+    With ratios, every matrix is also executed greedily at those speed
+    ratios (walking speed 1), decided on the column prefix: until the
+    first stall, traveller i reaches post j at tick
+    rides*ride + (j - rides)*walk, with rides their ride count through
+    column j-1, so the first-come test at post j needs only the prefix.
+    Placing column j >= 1 runs that test at each ratio still stall-free
+    (bit r of flags) and a failed test clears its bit for good, since
+    the run would stop there.  visitor then gets a Mismatch for each
+    matrix whose flags differ from the word verdict, and is not called
+    for the others, which are never built.
+    """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"bad parameters n={n}, k={k}")
     if visitor is not None and n > EXHAUSTIVE_GUARD and not force:
@@ -95,6 +137,8 @@ def enumerate_uniform(
     scanned = _scanned_boundaries(k, n, True)
     # Columns placed once the last scanned boundary has been tested.
     settled_at = scanned[-1] + 2 if scanned else 0
+    in_time = _in_time(n, k, ratios) if ratios else []
+    stall_free = (1 << len(ratios)) - 1  # flags of a run with no stall
     caps = [k] * n
     masks = [0] * n  # row masks of the columns placed so far
     cols: list[int] = []
@@ -102,19 +146,23 @@ def enumerate_uniform(
     examples: list[BinaryScheme] = []
     memo: dict[tuple, tuple[int, int]] = {}
 
-    def place(j: int, slices: list[int], ok: bool):
+    def place(j: int, slices: list[int], ok: bool, flags: int):
         # slices holds the ride counts through column j-1, kept only
         # while a later scanned boundary still needs them.
         nonlocal total, optimal
         if j == n:
             total += 1
-            M = BinaryScheme._from_masks(tuple(masks), n, tuple(cols))
             if ok:
                 optimal += 1
             elif len(examples) < max_examples:
-                examples.append(M)
-            if visitor is not None:
-                visitor(M, ok)
+                examples.append(BinaryScheme._from_masks(tuple(masks), n, tuple(cols)))
+            if ratios:
+                if flags != (stall_free if ok else 0):
+                    M = BinaryScheme._from_masks(tuple(masks), n, tuple(cols))
+                    stall_free_at = tuple(bool(flags >> r & 1) for r in range(len(ratios)))
+                    visitor(Mismatch(M, ok, stall_free_at))
+            elif visitor is not None:
+                visitor(BinaryScheme._from_masks(tuple(masks), n, tuple(cols)), ok)
             return
         if visitor is None:
             # A row's class is its cap and whether it rides column j-1.
@@ -144,7 +192,10 @@ def enumerate_uniform(
             return
         bit = 1 << j
         test = ok and j - 1 in scanned
-        prev = cols[-1] if test else 0
+        prev = cols[-1] if j else 0
+        if j and flags:
+            prev_rows = _mask_rows(prev)
+            in_time_j = in_time[j]
         for combo in combinations(free, need):
             support = forced + list(combo)
             col = 0
@@ -155,12 +206,23 @@ def enumerate_uniform(
             child_ok = ok
             if test:
                 child_ok = _is_dyck_at(prev & ~col, col & ~prev, slices, False)
+            child_flags = flags
+            if j and flags and col & ~prev:
+                # The first-come test at post j, on the caps through
+                # column j-1 (a taker's is one more than it is now): the
+                # m-th earliest taker leaves on the m-th earliest drop.
+                taken = sorted([caps[i] + 1 for i in support if not prev >> i & 1])
+                dropped = sorted([caps[i] for i in prev_rows if not col >> i & 1])
+                if len(taken) > len(dropped):
+                    child_flags = 0
+                for d, t in zip(dropped, taken):
+                    child_flags &= in_time_j[d][t]
             child_slices = slices
             if child_ok and j < settled_at - 1:
                 child_slices = slices.copy()
                 _add_column(child_slices, col)
             cols.append(col)
-            place(j + 1, child_slices, child_ok)
+            place(j + 1, child_slices, child_ok, child_flags)
             cols.pop()
             for i in support:
                 caps[i] += 1
@@ -168,7 +230,7 @@ def enumerate_uniform(
         if visitor is None:
             memo[key] = (total - before[0], optimal - before[1])
 
-    place(0, [], True)
+    place(0, [], True, stall_free)
     return EnumerationReport(
         n=n,
         k=k,
@@ -179,24 +241,29 @@ def enumerate_uniform(
     )
 
 
-def cross_validate(n: int, k: int, *, force: bool = False) -> list[Mismatch]:
-    """Compare the word verdict with greedy execution over all (n, k) matrices.
+def _in_time(n: int, k: int, ratios: tuple[Fraction, ...]) -> list[list[list[int]]]:
+    """in_time[j][d][t]: the ratios at which a dropper is in time for a taker.
 
-    Every enumerated uniform matrix is executed at each of
-    DEFAULT_SPEED_RATIOS; any disagreement with the word-based verdict
-    (or among the ratios) is returned.  An empty list is the expected
-    outcome.  It lists every matrix, so the exhaustive guard applies.
+    Bit r is set when, at ratios[r], a dropper with cap d reaches post
+    j no later than a taker with cap t.  Before any stall a traveller
+    with cap c has ridden k - c of the first j stages.  A ride is
+    shorter than a walk, so at every ratio the arrival tick grows with
+    cap, and travellers sorted by cap are sorted by tick.
     """
-    ticks = [_stage_ticks(SpeedModel(1, r)) for r in DEFAULT_SPEED_RATIOS]
-    mismatches: list[Mismatch] = []
+    clocks = [_stage_ticks(SpeedModel(1, r))[:2] for r in ratios]
 
-    def probe(M: BinaryScheme, dyck_optimal: bool):
-        flags = tuple(_execute(M, w, r) for w, r, _ in ticks)
-        if any(flag != dyck_optimal for flag in flags):
-            mismatches.append(Mismatch(M, dyck_optimal, flags))
+    def arrival(j: int, cap: int, walk: int, ride: int) -> int:
+        rides = k - cap
+        return rides * ride + (j - rides) * walk
 
-    enumerate_uniform(n, k, probe, force=force)
-    return mismatches
+    def bits(j: int, d: int, t: int) -> int:
+        return sum(
+            1 << r
+            for r, (walk, ride) in enumerate(clocks)
+            if arrival(j, d, walk, ride) <= arrival(j, t, walk, ride)
+        )
+
+    return [[[bits(j, d, t) for t in range(k + 1)] for d in range(k + 1)] for j in range(n)]
 
 
 def random_uniform(n: int, k: int, rng: random.Random) -> BinaryScheme:

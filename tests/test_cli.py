@@ -5,20 +5,24 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bikerelay import (
     BinaryScheme,
-    Mismatch,
+    SpeedModel,
     TieOrder,
     canonical_word,
     cross_validate,
     cyclic_matrix,
     enumerate_uniform,
     format_scheme,
+    is_executable_without_stall,
     parse_scheme,
 )
-from bikerelay import oracle
+from bikerelay import cli, oracle
 from bikerelay.cli import build_parser, run
+from bikerelay.oracle import DEFAULT_SPEED_RATIOS
 
 
 def invoke(*argv):
@@ -244,13 +248,27 @@ def test_enum_cross_validate_only_appends_its_two_keys(n):
 
 
 def test_cross_validation_reports_a_planted_mismatch(monkeypatch):
-    planted = cyclic_matrix(5, 2)
-    execute = oracle._execute
-    monkeypatch.setattr(oracle, "_execute", lambda M, *a: execute(M, *a) != (M == planted))
-    assert cross_validate(5, 2) == [Mismatch(planted, True, (False, False, False))]
-    code, out, _ = invoke("enum", "--n", "5", "--k", "2", "--cross-validate", "--porcelain")
+    # With every boundary word taken to be Dyck, the word verdict calls
+    # every (6,3) matrix optimal, so the ones that stall are mismatches,
+    # listed in visiting order with all three executions stalling.
+    stalling = enumerate_uniform(6, 3, max_examples=9560).minimal_nonoptimal_examples
+    monkeypatch.setattr(oracle, "_is_dyck_at", lambda *args: True)
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(cross_validate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "cross_validate", recorded)
+    code, out, _ = invoke("enum", "--n", "6", "--k", "3", "--cross-validate", "--porcelain")
     assert code == 0
-    assert out.endswith("mismatches: 1\n")
+    assert out.endswith("mismatches: 9560\n")
+    [mismatches] = results
+    assert [m.scheme for m in mismatches] == list(stalling)
+    for m in mismatches:
+        assert m.dyck_optimal is True and m.stall_free == (False, False, False)
+        for ratio in DEFAULT_SPEED_RATIOS:
+            assert not is_executable_without_stall(m.scheme, SpeedModel(1, ratio))
 
 
 def test_enum_guard_without_force():
@@ -348,6 +366,58 @@ def test_successive_runs_share_no_state(fixtures_dir):
     )
     assert (code, out, err) == (0, fresh.stdout, fresh.stderr)
     assert fresh.returncode == 0
+
+
+def test_closed_output_pipe_is_not_an_error():
+    # About 100 KB of examples, more than a pipe holds, so the writer
+    # meets the closed read end whatever the timing.
+    argv = ["enum", "--n", "6", "--k", "3", "--max-examples", "2000", "--porcelain"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bikerelay.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline() == "n: 6\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, "")
+
+
+@st.composite
+def matrix_file_text(draw):
+    """A small 0/1 matrix as file text, often with a wrong header or damaged text."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.text("01", min_size=m, max_size=m), min_size=n, max_size=n))
+    headers = [f"{n} {m}", f"# note\n{n} {m}", f"{m} {n}", f"{n}", f"{n} {m} 1", "0 3", "x y", ""]
+    text = "\n".join([draw(st.sampled_from(headers))] + [" ".join(row) for row in rows])
+    text += draw(st.sampled_from(["", "\n"]))
+    if draw(st.booleans()):
+        junk = draw(st.text("0123456789 \t\n#x-", max_size=6))
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + junk + text[at + draw(st.integers(0, 3)) :]
+    return text
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=matrix_file_text())
+def test_file_commands_exit_0_1_or_2_on_any_text(tmp_path, text):
+    src = tmp_path / "fuzz.mat"
+    src.write_text(text)
+    for argv in (
+        ["check", str(src)],
+        ["check", str(src), "--witness"],
+        ["stats", str(src)],
+        ["sim", str(src)],
+        ["reduce", str(src), "-o", str(tmp_path / "reduced.mat")],
+    ):
+        code, _, _ = invoke(*argv)
+        assert code in (0, 1, 2), (argv, text)
 
 
 def test_build_parser_returns_a_new_parser():

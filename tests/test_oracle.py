@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from bikerelay import (
     BinaryScheme,
     EnumerationReport,
+    Mismatch,
+    SpeedModel,
     cross_validate,
     cyclic_matrix,
     decide_optimal,
@@ -18,6 +20,9 @@ from bikerelay import (
     uniformity,
     verify_cyclic_structure,
 )
+from bikerelay import oracle
+from bikerelay.oracle import DEFAULT_SPEED_RATIOS
+from bikerelay.simulate import _execute, _stage_ticks
 
 # Counts of n x n binary matrices with all line sums k, by independent
 # per-column dynamic programming over row capacity multisets.
@@ -202,6 +207,36 @@ def test_enumeration_guard():
 def test_cross_validate_small():
     assert cross_validate(4, 2) == []
     assert cross_validate(5, 2) == []
+
+
+def reference_cross_validate(n, k):
+    """cross_validate as it was before the per-prefix probe.
+
+    Every matrix is built and executed greedily at each ratio.
+    """
+    ticks = [_stage_ticks(SpeedModel(1, r)) for r in DEFAULT_SPEED_RATIOS]
+    mismatches = []
+
+    def probe(M, dyck_optimal):
+        flags = tuple(_execute(M, walk, ride) for walk, ride, _ in ticks)
+        if any(flag != dyck_optimal for flag in flags):
+            mismatches.append(Mismatch(M, dyck_optimal, flags))
+
+    enumerate_uniform(n, k, probe)
+    return mismatches
+
+
+def test_cross_validation_equals_the_per_leaf_executions_up_to_n5(monkeypatch):
+    # The patch fails every scanned boundary, so wherever one is scanned
+    # a matrix is listed unless all three runs stall, and equal lists
+    # mean equal flags on every matrix.  No n <= 5 scans a boundary (see
+    # _scanned_boundaries): there the word verdict stays True, and equal
+    # lists show that neither side finds a stall.  The stalling side is
+    # seen at (6,3) by the planted-mismatch test in test_cli.py.
+    monkeypatch.setattr(oracle, "_is_dyck_at", lambda *args: False)
+    for n in range(1, 6):
+        for k in range(n + 1):
+            assert cross_validate(n, k) == reference_cross_validate(n, k), (n, k)
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,6 +3,7 @@ import io
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -25,6 +26,7 @@ from bikerelay import (
     random_uniform,
     simulate,
     transpose_cyclic_matrix,
+    valid_stage_counts,
     write_trace_csv,
 )
 from bikerelay.optimality import _structural_violation
@@ -449,6 +451,28 @@ def test_word_verdict_equals_execution_past_the_exhaustive_range():
                         assert first == reference_first_stall_ride_index(trace), (n, k, ratio)
         assert verdicts == {True, False}, n
         assert referenced == 3, n
+    # Rectangular schemes: block_compose at stage counts valid_stage_counts
+    # allows, tall (m < n) and wide (m > n), and a seeded column
+    # permutation of each.
+    verdicts = set()
+    for n, k in ((16, 8), (16, 4), (16, 6), (16, 3), (32, 8), (32, 12), (32, 6), (32, 3)):
+        for r in (1, 2, 3):
+            m = r * n // gcd(n, k)
+            assert valid_stage_counts(n, k, m).r == r
+            base = block_compose(n, k, r, default_block_cells(n, k, r))
+            cols = list(range(m))
+            rng.shuffle(cols)
+            for M in (base, BinaryScheme([[row[c] for c in cols] for row in base.rows])):
+                optimal = decide_optimal(M).optimal
+                verdicts.add((optimal, m < n, m > n))
+                for ratio in DEFAULT_SPEED_RATIOS:
+                    speeds = SpeedModel(1, ratio)
+                    assert is_executable_without_stall(M, speeds) is optimal, (n, k, r, ratio)
+                    first = first_stall_ride_index(M, speeds)
+                    assert (first is None) is optimal, (n, k, r, ratio)
+    # Both verdicts occur on tall and on wide schemes.
+    assert {(True, True, False), (False, True, False)} <= verdicts
+    assert {(True, False, True), (False, False, True)} <= verdicts
 
 
 def test_plan_policy_agrees_with_greedy_on_optimal(split_riders, handover_free):
