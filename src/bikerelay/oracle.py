@@ -5,11 +5,12 @@ deciding each verdict on the column prefix with decide_optimal's
 boundary test (_is_dyck_at over _scanned_boundaries); without a visitor
 it counts row classes of prefixes.  The checks on that verdict are
 deliberately independent of the word-based decision: cross_validate
-runs the greedy first-come rule on every matrix at several speed
-ratios, post by post on the arrival ticks, in the same descent and
-once per column prefix, and builds only the matrices where execution
-and words disagree; determinants come from fraction-free elimination,
-and the cyclic family's structure claims are verified entry by entry.
+tests every matrix for a first-come run with no stall, post by post on
+the ride counts, in the same descent and once per column prefix, and
+runs simulate's executor at each speed ratio on the matrices where
+that test and the words disagree; determinants come from fraction-free
+elimination, and the cyclic family's structure claims are verified
+entry by entry.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import le
 from typing import Callable
 
 from .generators import cyclic_matrix
 from .optimality import _add_column, _is_dyck_at, _scanned_boundaries
 from .scheme import BinaryScheme, _mask_rows
-from .simulate import SpeedModel, _stage_ticks
+from .simulate import SpeedModel, _execute, _stage_ticks
 
 EXHAUSTIVE_GUARD = 7
 
@@ -45,7 +47,11 @@ class EnumerationReport:
 
 @dataclass(frozen=True)
 class Mismatch:
-    """A matrix where the word verdict and the executions disagree."""
+    """A matrix where the word verdict and the stall-free test disagree.
+
+    stall_free holds whether simulate's greedy executor runs the
+    matrix with no stall at each of DEFAULT_SPEED_RATIOS, in order.
+    """
 
     scheme: BinaryScheme
     dyck_optimal: bool
@@ -85,60 +91,76 @@ def enumerate_uniform(
     force=True.
 
     Raises:
-        ValueError: k out of range, or a visitor with n beyond the
-            exhaustive guard and no force=True.
+        ValueError: k out of range, a negative max_examples, or a
+            visitor with n beyond the exhaustive guard and no
+            force=True.
     """
-    return _descend(n, k, visitor, force, max_examples)
+    return _descend(n, k, visitor, force, max_examples, probe=False)
 
 
 def cross_validate(n: int, k: int, *, force: bool = False) -> list[Mismatch]:
     """Compare the word verdict with greedy execution over all (n, k) matrices.
 
-    Every uniform matrix is executed first come first served at each
-    of DEFAULT_SPEED_RATIOS, decided post by post on the column prefix
-    as the word verdict is (see _descend); any disagreement with the
-    word-based verdict (or among the ratios) is returned, in the order
-    enumerate_uniform visits the matrices.  Only disagreeing matrices
-    are built.  An empty list is the expected outcome.  Every matrix is
-    decided on its own, so the exhaustive guard applies.
+    Every uniform matrix is tested for a first-come run with no stall,
+    decided post by post on the column prefix as the word verdict is
+    (see _descend).  The test reads only ride counts, so one test
+    holds at every speed ratio.  Each matrix where it disagrees with
+    the word verdict is built, run by simulate's greedy executor at
+    each of DEFAULT_SPEED_RATIOS, and returned as a Mismatch carrying
+    those runs' flags, in the order enumerate_uniform visits the
+    matrices.  An empty list is the expected outcome; a Mismatch whose
+    flags all equal dyck_optimal points at the prefix test instead.
+    Every matrix is decided on its own, so the exhaustive guard
+    applies.
     """
+    ticks = [_stage_ticks(SpeedModel(1, r))[:2] for r in DEFAULT_SPEED_RATIOS]
     mismatches: list[Mismatch] = []
-    _descend(n, k, mismatches.append, force, 0, DEFAULT_SPEED_RATIOS)
+
+    def execute(M: BinaryScheme, ok: bool) -> None:
+        stall_free = tuple(_execute(M, walk, ride) for walk, ride in ticks)
+        mismatches.append(Mismatch(M, ok, stall_free))
+
+    _descend(n, k, execute, force, 0, probe=True)
     return mismatches
 
 
 def _descend(
     n: int,
     k: int,
-    visitor: Callable | None,
+    visitor: Callable[[BinaryScheme, bool], None] | None,
     force: bool,
     max_examples: int,
-    ratios: tuple[Fraction, ...] = (),
+    probe: bool,
 ) -> EnumerationReport:
     """The labelled descent behind enumerate_uniform and cross_validate.
 
-    With ratios, every matrix is also executed greedily at those speed
-    ratios (walking speed 1), decided on the column prefix: until the
-    first stall, traveller i reaches post j at tick
-    rides*ride + (j - rides)*walk, with rides their ride count through
-    column j-1, so the first-come test at post j needs only the prefix.
-    Placing column j >= 1 runs that test at each ratio still stall-free
-    (bit r of flags) and a failed test clears its bit for good, since
-    the run would stop there.  visitor then gets a Mismatch for each
-    matrix whose flags differ from the word verdict, and is not called
-    for the others, which are never built.
+    With probe, every matrix is also tested for a greedy first-come
+    run with no stall, decided on the column prefix.  Until the first
+    stall, traveller i reaches post j at tick
+    j*walk - rides*(walk - ride), with rides = k - cap their ride count
+    through column j-1.  A ride is shorter than a walk, so at every
+    speed ratio arrival order is cap order, and the first-come test at
+    post j (the m-th earliest taker leaves on the m-th earliest drop)
+    passes iff each dropper's cap is at most the matching taker's,
+    both sorted.  Every column has k rows, so a post has as many
+    takers as droppers.  Placing column j >= 1 runs the test while the
+    run is still free of stalls; a failure is final, since the run
+    would stop there.  The visitor then gets (matrix, word verdict)
+    only for the matrices where the test and the word verdict
+    disagree; the others are never built.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"bad parameters n={n}, k={k}")
+    if max_examples < 0:
+        raise ValueError(f"max_examples must be at least 0, not {max_examples}")
     if visitor is not None and n > EXHAUSTIVE_GUARD and not force:
         raise ValueError(
-            f"listing every matrix at n={n} is enormous; pass force=True to insist"
+            f"listing every matrix at n={n} is enormous; "
+            "pass force=True (--force on the command line) to insist"
         )
     scanned = _scanned_boundaries(k, n, True)
     # Columns placed once the last scanned boundary has been tested.
     settled_at = scanned[-1] + 2 if scanned else 0
-    in_time = _in_time(n, k, ratios) if ratios else []
-    stall_free = (1 << len(ratios)) - 1  # flags of a run with no stall
     caps = [k] * n
     masks = [0] * n  # row masks of the columns placed so far
     cols: list[int] = []
@@ -146,9 +168,10 @@ def _descend(
     examples: list[BinaryScheme] = []
     memo: dict[tuple, tuple[int, int]] = {}
 
-    def place(j: int, slices: list[int], ok: bool, flags: int):
+    def place(j: int, slices: list[int], ok: bool, runs: bool):
         # slices holds the ride counts through column j-1, kept only
-        # while a later scanned boundary still needs them.
+        # while a later scanned boundary still needs them; runs is
+        # whether the probe has found no stall so far.
         nonlocal total, optimal
         if j == n:
             total += 1
@@ -156,12 +179,7 @@ def _descend(
                 optimal += 1
             elif len(examples) < max_examples:
                 examples.append(BinaryScheme._from_masks(tuple(masks), n, tuple(cols)))
-            if ratios:
-                if flags != (stall_free if ok else 0):
-                    M = BinaryScheme._from_masks(tuple(masks), n, tuple(cols))
-                    stall_free_at = tuple(bool(flags >> r & 1) for r in range(len(ratios)))
-                    visitor(Mismatch(M, ok, stall_free_at))
-            elif visitor is not None:
+            if visitor is not None and (not probe or runs != ok):
                 visitor(BinaryScheme._from_masks(tuple(masks), n, tuple(cols)), ok)
             return
         if visitor is None:
@@ -193,9 +211,8 @@ def _descend(
         bit = 1 << j
         test = ok and j - 1 in scanned
         prev = cols[-1] if j else 0
-        if j and flags:
+        if j and runs:
             prev_rows = _mask_rows(prev)
-            in_time_j = in_time[j]
         for combo in combinations(free, need):
             support = forced + list(combo)
             col = 0
@@ -206,23 +223,19 @@ def _descend(
             child_ok = ok
             if test:
                 child_ok = _is_dyck_at(prev & ~col, col & ~prev, slices, False)
-            child_flags = flags
-            if j and flags and col & ~prev:
+            child_runs = runs
+            if j and runs:
                 # The first-come test at post j, on the caps through
-                # column j-1 (a taker's is one more than it is now): the
-                # m-th earliest taker leaves on the m-th earliest drop.
+                # column j-1 (a taker's is one more than it is now).
                 taken = sorted([caps[i] + 1 for i in support if not prev >> i & 1])
                 dropped = sorted([caps[i] for i in prev_rows if not col >> i & 1])
-                if len(taken) > len(dropped):
-                    child_flags = 0
-                for d, t in zip(dropped, taken):
-                    child_flags &= in_time_j[d][t]
+                child_runs = all(map(le, dropped, taken))
             child_slices = slices
             if child_ok and j < settled_at - 1:
                 child_slices = slices.copy()
                 _add_column(child_slices, col)
             cols.append(col)
-            place(j + 1, child_slices, child_ok, child_flags)
+            place(j + 1, child_slices, child_ok, child_runs)
             cols.pop()
             for i in support:
                 caps[i] += 1
@@ -230,7 +243,7 @@ def _descend(
         if visitor is None:
             memo[key] = (total - before[0], optimal - before[1])
 
-    place(0, [], True, stall_free)
+    place(0, [], True, probe)
     return EnumerationReport(
         n=n,
         k=k,
@@ -239,31 +252,6 @@ def _descend(
         nonoptimal_count=total - optimal,
         minimal_nonoptimal_examples=tuple(examples),
     )
-
-
-def _in_time(n: int, k: int, ratios: tuple[Fraction, ...]) -> list[list[list[int]]]:
-    """in_time[j][d][t]: the ratios at which a dropper is in time for a taker.
-
-    Bit r is set when, at ratios[r], a dropper with cap d reaches post
-    j no later than a taker with cap t.  Before any stall a traveller
-    with cap c has ridden k - c of the first j stages.  A ride is
-    shorter than a walk, so at every ratio the arrival tick grows with
-    cap, and travellers sorted by cap are sorted by tick.
-    """
-    clocks = [_stage_ticks(SpeedModel(1, r))[:2] for r in ratios]
-
-    def arrival(j: int, cap: int, walk: int, ride: int) -> int:
-        rides = k - cap
-        return rides * ride + (j - rides) * walk
-
-    def bits(j: int, d: int, t: int) -> int:
-        return sum(
-            1 << r
-            for r, (walk, ride) in enumerate(clocks)
-            if arrival(j, d, walk, ride) <= arrival(j, t, walk, ride)
-        )
-
-    return [[[bits(j, d, t) for t in range(k + 1)] for d in range(k + 1)] for j in range(n)]
 
 
 def random_uniform(n: int, k: int, rng: random.Random) -> BinaryScheme:

@@ -278,6 +278,12 @@ def test_enum_guard_without_force():
     assert out.startswith("n: 9\nk: 2\ntotal_uniform: 14398171200\n")
     code, out, err = invoke("enum", "--n", "9", "--k", "2", "--cross-validate")
     assert (code, out) == (2, "") and "error: listing every matrix" in err
+    assert "--force" in err
+
+
+def test_enum_negative_max_examples_is_a_usage_error():
+    code, out, err = invoke("enum", "--n", "4", "--k", "2", "--max-examples", "-1")
+    assert (code, out) == (2, "") and "error: max_examples" in err
 
 
 def test_det_command():

@@ -207,6 +207,22 @@ def test_word_transforms(n, rng):
         assert canonical_word(R, b).letters == dual_reverse_word(back)
 
 
+def test_word_transforms_move_the_failing_boundary():
+    # A sample of the stalling (6,3) matrices: the dual keeps the first
+    # non-Dyck boundary, and stage reversal brings the last one first.
+    stalling = enumerate_uniform(6, 3, max_examples=9560).minimal_nonoptimal_examples
+    for M in stalling[::20]:
+        bad = [b for b in range(M.m - 1) if not is_dyck(canonical_word(M, b))]
+        verdict = decide_optimal(M)
+        assert verdict.failing_boundary == bad[0]
+        dual = decide_optimal(binary_dual(M))
+        assert dual.failing_boundary == bad[0]
+        assert dual.failing_word == dual_reverse_word(verdict.failing_word)
+        rev = decide_optimal(reverse_stages(M))
+        assert rev.failing_boundary == M.m - 2 - bad[-1]
+        assert rev.failing_word == dual_reverse_word(canonical_word(M, bad[-1]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 7), st.randoms(use_true_random=False))
 def test_verdict_invariant_under_row_permutation(n, rng):

@@ -204,6 +204,11 @@ def test_enumeration_guard():
     assert rep.total_uniform == len(seen) == 2
 
 
+def test_negative_max_examples_is_refused():
+    with pytest.raises(ValueError, match="max_examples"):
+        enumerate_uniform(4, 2, max_examples=-1)
+
+
 def test_cross_validate_small():
     assert cross_validate(4, 2) == []
     assert cross_validate(5, 2) == []
