@@ -224,7 +224,9 @@ def _cmd_sim(args) -> int:
 
 def _cmd_enum(args) -> int:
     # Cross-validation lists every matrix and may be refused, so it
-    # goes before the census.
+    # goes before the census; a bad flag is refused before either.
+    if args.max_examples < 0:
+        raise ValueError(f"max_examples must be at least 0, not {args.max_examples}")
     if args.cross_validate:
         mismatches = len(cross_validate(args.n, args.k, force=args.force))
     report = enumerate_uniform(args.n, args.k, max_examples=args.max_examples)

@@ -14,19 +14,20 @@ which both stage durations are whole ticks.  The one executor,
 _execute, counts those ticks and states the service rule once for
 both policies; it numbers bicycles only for a trace (simulate), and
 first_stall_ride_index runs it to the end but records only the
-stalls.  simulate turns ticks into Fractions, and cohort_profile and
-write_trace_csv read the same clock.  Simultaneous arrivals (equal
-ride counts) are exactly the handovers the optimality theory relies
-on, so float rounding would turn ties into races and change verdicts.
+stalls.  simulate turns ticks into Fractions, cohort_profile reads the
+clock off the rows, and write_trace_csv sorts and prints on ticks.
+Simultaneous arrivals (equal ride counts) are exactly the handovers
+the optimality theory relies on, so float rounding would turn ties
+into races and change verdicts.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate
+from math import gcd
 from typing import IO
 
 from .optimality import AssignmentPlan, _structural_violation
@@ -404,18 +405,28 @@ def cohort_profile(trace: SimulationTrace) -> CohortProfile:
     return CohortProfile(max_positions, Fraction(max_gap, unit), Fraction(max_spread, unit))
 
 
-_EVENT_RANK = {
-    "arrive": 0,
-    "stall_begin": 1,
-    "stall_end": 2,
-    "handover": 3,
-    "depart_walk": 4,
-    "depart_ride": 4,
-}
-
-
 def _frac(t: Fraction) -> str:
     return f"{t.numerator}/{t.denominator}"
+
+
+def _trace_rows(trace: SimulationTrace):
+    """Each CSV row as (time, traveller, rank, post, "event,bike"); rank
+    orders a traveller's rows at one time: arrive, stalls, handover, depart."""
+    for i, (departs, arrivals, bikes) in enumerate(
+        zip(trace.depart_times, trace.post_arrival_times, trace.stage_bike)
+    ):
+        for j, bike in enumerate(bikes):
+            if bike is None:
+                yield departs[j], i, 4, j, "depart_walk,"
+                yield arrivals[j + 1], i, 0, j + 1, "arrive,"
+            else:
+                yield departs[j], i, 4, j, f"depart_ride,{bike}"
+                yield arrivals[j + 1], i, 0, j + 1, f"arrive,{bike}"
+    for s in trace.stall_events:
+        yield s.start, s.traveller, 1, s.post, "stall_begin,"
+        yield s.start + s.wait, s.traveller, 2, s.post, "stall_end,"
+    for h in trace.handover_events:
+        yield h.time, h.taker, 3, h.post, f"handover,{h.bike}"
 
 
 def write_trace_csv(trace: SimulationTrace, out: IO[str]):
@@ -423,49 +434,34 @@ def write_trace_csv(trace: SimulationTrace, out: IO[str]):
 
     Times are exact fractions p/q.  The traveller on a handover row is
     the taker; the giver's own movements appear on their own rows.
-    """
-    rows = []
-    n, m = trace.scheme.n, trace.scheme.m
-    for i in range(n):
-        for j in range(m):
-            bike = trace.stage_bike[i][j]
-            rows.append(
-                (
-                    trace.depart_times[i][j],
-                    i,
-                    j,
-                    "depart_walk" if bike is None else "depart_ride",
-                    "" if bike is None else bike,
-                )
-            )
-            rows.append(
-                (
-                    trace.post_arrival_times[i][j + 1],
-                    i,
-                    j + 1,
-                    "arrive",
-                    "" if bike is None else bike,
-                )
-            )
-    for s in trace.stall_events:
-        rows.append((s.start, s.traveller, s.post, "stall_begin", ""))
-        rows.append((s.start + s.wait, s.traveller, s.post, "stall_end", ""))
-    for h in trace.handover_events:
-        rows.append((h.time, h.taker, h.post, "handover", h.bike))
-    # Every time is a whole number of ticks (see _stage_ticks), so
-    # sorting on ticks orders rows exactly as their Fraction times would,
-    # without Fraction comparisons.
-    per_unit = _stage_ticks(trace.speeds)[2]
-    rows.sort(
-        key=lambda r: (
-            r[0].numerator * (per_unit // r[0].denominator),
-            r[1],
-            _EVENT_RANK[r[3]],
-            r[2],
-        )
-    )
+    Each time is read once as whole ticks (see _stage_ticks); rows sort
+    on one int key packing (tick, traveller, rank, post), and each
+    distinct tick is formatted once.  Line ends are CRLF, as csv.writer's.
 
-    writer = csv.writer(out)
-    writer.writerow(["time", "traveller", "post", "event", "bike"])
-    for t, traveller, post, event, bike in rows:
-        writer.writerow([_frac(t), traveller, post, event, bike])
+    Raises:
+        ValueError: a time is not a whole number of ticks (only a trace
+            not made by simulate can hold one).
+    """
+    n, m = trace.scheme.n, trace.scheme.m
+    per_unit = _stage_ticks(trace.speeds)[2]
+    scale: dict[int, int] = {}  # denominator q -> per_unit // q
+    text: dict[int, str] = {}  # tick -> "p/q"
+    rows = []
+    for t, traveller, rank, post, rest in _trace_rows(trace):
+        p, q = t.as_integer_ratio()
+        s = scale.get(q)
+        if s is None:
+            s, r = divmod(per_unit, q)
+            if r:
+                raise ValueError(f"time {p}/{q} is not a whole number of ticks of 1/{per_unit}")
+            scale[q] = s
+        tick = p * s
+        time = text.get(tick)
+        if time is None:
+            g = gcd(tick, per_unit)
+            time = text[tick] = f"{tick // g}/{per_unit // g}"
+        key = ((tick * n + traveller) * 5 + rank) * (m + 1) + post
+        rows.append((key, f"{time},{traveller},{post},{rest}\r\n"))
+    rows.sort()
+    out.write("time,traveller,post,event,bike\r\n")
+    out.write("".join([line for _, line in rows]))

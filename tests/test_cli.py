@@ -192,6 +192,16 @@ def test_sim_orders_stalls_by_time(fixtures_dir):
     assert lines["first_stall_ride"] == "6"
 
 
+def test_sim_trace_equals_the_golden_file(tmp_path, fixtures_dir):
+    # The fixture holds 3 stalls and 27 handovers at ride ratio 10.
+    trace = tmp_path / "t.csv"
+    path = str(fixtures_dir / "late_first_stall.mat")
+    code, _, _ = invoke("sim", path, "--cycle", "10", "--trace", str(trace))
+    assert code == 0
+    golden = fixtures_dir / "late_first_stall_cycle10.csv"
+    assert trace.read_bytes() == golden.read_bytes()
+
+
 def test_sim_plan_policy(fixtures_dir):
     code, out, _ = invoke("sim", str(fixtures_dir / "split_riders.mat"), "--policy", "plan")
     assert code == 0
@@ -283,6 +293,16 @@ def test_enum_guard_without_force():
 
 def test_enum_negative_max_examples_is_a_usage_error():
     code, out, err = invoke("enum", "--n", "4", "--k", "2", "--max-examples", "-1")
+    assert (code, out) == (2, "") and "error: max_examples" in err
+
+
+def test_enum_refuses_negative_max_examples_before_cross_validating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cross_validate ran")
+
+    monkeypatch.setattr(cli, "cross_validate", refuse)
+    argv = ["enum", "--n", "6", "--k", "3", "--cross-validate", "--max-examples", "-1"]
+    code, out, err = invoke(*argv)
     assert (code, out) == (2, "") and "error: max_examples" in err
 
 

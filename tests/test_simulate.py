@@ -1,7 +1,7 @@
 import csv
 import io
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -711,6 +711,43 @@ def test_trace_csv_equals_the_fraction_sorted_reference(split_riders, split_ride
         out = io.StringIO()
         write_trace_csv(tr, out)
         assert out.getvalue() == _reference_trace_csv(tr), tr.scheme.rows
+
+
+def test_trace_csv_equals_the_reference_at_benchmark_sizes():
+    # cyclic, transpose-cyclic and a seeded stalling column permutation
+    # at the sizes the execute-mid benchmark runs, greedy at three speed
+    # models and the plan policy on the optimal schemes.
+    rng = random.Random(4816)
+    traces = []
+    for n in (16, 24, 32, 48):
+        base = cyclic_matrix(n, n // 3)
+        cols = list(range(n))
+        while True:
+            rng.shuffle(cols)
+            stalling = BinaryScheme([[row[c] for c in cols] for row in base.rows])
+            if not decide_optimal(stalling).optimal:
+                break
+        optimal = [base, transpose_cyclic_matrix(n, n // 3)]
+        assert all(decide_optimal(M).optimal for M in optimal)
+        plans = [build_assignment_plan(M) for M in optimal]
+        for speeds in (HALF, ODD, SpeedModel(1, 10)):
+            traces += [simulate(M, speeds) for M in (*optimal, stalling)]
+            traces += [simulate(M, speeds, "plan", P) for M, P in zip(optimal, plans)]
+    assert sum(1 for tr in traces if tr.stall_events) == 4 * 3
+    for tr in traces:
+        out = io.StringIO()
+        write_trace_csv(tr, out)
+        assert out.getvalue() == _reference_trace_csv(tr), (tr.scheme.n, tr.speeds, tr.policy)
+
+
+def test_trace_csv_rejects_a_time_off_the_tick_clock(split_riders):
+    # At speeds 1:2 a tick is 1/2; a hand-built handover at 1/3 is no
+    # whole number of ticks, so its row has no place on the clock.
+    tr = simulate(split_riders, HALF)
+    h = tr.handover_events[0]
+    bad = replace(tr, handover_events=(replace(h, time=Fraction(1, 3)),))
+    with pytest.raises(ValueError, match="1/3"):
+        write_trace_csv(bad, io.StringIO())
 
 
 def test_stalls_appear_in_trace(split_riders_swapped):
