@@ -349,13 +349,10 @@ def run(argv) -> int:
     except SchemeFormatError as exc:
         print(f"error: bad matrix file: {exc}", file=sys.stderr)
         return 2
-    except DeadlockError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # The reader closed the output early (say, `| head`): not bad input.
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DeadlockError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple, Sequence
 
+from .optimality import decide_optimal
 from .scheme import BinaryScheme, transpose, uniformity
 
 
@@ -67,7 +68,7 @@ def valid_stage_counts(n: int, k: int, m: int) -> StageCountCheck:
     _check_nk(n, k)
     if m < 1:
         raise ValueError(f"need at least one stage, got m={m}")
-    d = gcd(n, k) if k else n
+    d = gcd(n, k)
     n_prime = n // d
     if m % n_prime:
         return StageCountCheck(False, None, None)
@@ -96,12 +97,10 @@ def block_compose(
         ValueError: bad shape, wrong cell dimensions, a cell that is
             not k'-uniform, or a cell that does not decide optimal.
     """
-    from .optimality import decide_optimal
-
     _check_nk(n, k)
     if r < 1:
         raise ValueError(f"need at least one stage block, got r={r}")
-    d = gcd(n, k) if k else n
+    d = gcd(n, k)
     n_prime, k_prime = n // d, k // d
     if len(cells) != d or any(len(row) != r for row in cells):
         raise ValueError(f"cells must form a {d}x{r} array")
@@ -129,8 +128,8 @@ def block_compose(
 def default_block_cells(n: int, k: int, r: int) -> list[list[BinaryScheme]]:
     """A d x r array of cyclic(n', k') cells, the stock choice."""
     _check_nk(n, k)
-    d = gcd(n, k) if k else n
-    cell = cyclic_matrix(n // d, (k // d) if k else 0)
+    d = gcd(n, k)
+    cell = cyclic_matrix(n // d, k // d)
     return [[cell for _ in range(r)] for _ in range(d)]
 
 

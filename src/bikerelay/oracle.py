@@ -70,11 +70,11 @@ def enumerate_uniform(
 
     Columns are generated left to right, choosing each column's
     support in lexicographic order; a row whose missing rides equal
-    the remaining columns is forced into every one of them, which
-    prunes dead branches early.  The row and column masks are kept up
-    to date while columns are placed, so each matrix is built from
-    them without validation.  The visitor, when given, is called
-    once per matrix with (matrix, optimal flag).
+    the remaining columns is forced into every one of them, so no
+    branch dies and the last column is the rows with one ride left.
+    Each matrix is built from the row and column masks, kept up to
+    date as columns are placed, without validation.  The visitor, when
+    given, is called once per matrix with (matrix, optimal flag).
 
     The verdict is decided on the column prefix: placing column b+1
     tests boundary b, for the boundaries decide_optimal scans, while
@@ -148,6 +148,10 @@ def _descend(
     would stop there.  The visitor then gets (matrix, word verdict)
     only for the matrices where the test and the word verdict
     disagree; the others are never built.
+
+    The prefix is recorded once, as caps, row masks and columns; ride
+    count slices are built where a boundary is tested.  The descent
+    stops at the forced last column.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"bad parameters n={n}, k={k}")
@@ -159,8 +163,6 @@ def _descend(
             "pass force=True (--force on the command line) to insist"
         )
     scanned = _scanned_boundaries(k, n, True)
-    # Columns placed once the last scanned boundary has been tested.
-    settled_at = scanned[-1] + 2 if scanned else 0
     caps = [k] * n
     masks = [0] * n  # row masks of the columns placed so far
     cols: list[int] = []
@@ -168,20 +170,28 @@ def _descend(
     examples: list[BinaryScheme] = []
     memo: dict[tuple, tuple[int, int]] = {}
 
-    def place(j: int, slices: list[int], ok: bool, runs: bool):
-        # slices holds the ride counts through column j-1, kept only
-        # while a later scanned boundary still needs them; runs is
-        # whether the probe has found no stall so far.
+    def place(j: int, ok: bool, runs: bool):
+        # On entry every cap is at most n-j and the caps sum to k*(n-j),
+        # so no branch dies; runs is whether the probe found no stall.
         nonlocal total, optimal
-        if j == n:
+        if j == n - 1:
+            # The last column is the k rows with cap 1: it closes no scanned
+            # boundary, and its droppers have one ride more than its takers.
             total += 1
             if ok:
                 optimal += 1
-            elif len(examples) < max_examples:
-                examples.append(BinaryScheme._from_masks(tuple(masks), n, tuple(cols)))
-            if visitor is not None and (not probe or runs != ok):
-                visitor(BinaryScheme._from_masks(tuple(masks), n, tuple(cols)), ok)
+            wanted = not ok and len(examples) < max_examples
+            shown = visitor is not None and (not probe or runs != ok)
+            if wanted or shown:
+                last = sum(c << i for i, c in enumerate(caps))
+                rows = tuple(x | c << j for x, c in zip(masks, caps))
+                M = BinaryScheme._from_masks(rows, n, (*cols, last))
+                if wanted:
+                    examples.append(M)
+                if shown:
+                    visitor(M, ok)
             return
+        prev = cols[-1] if j else 0
         if visitor is None:
             # A row's class is its cap and whether it rides column j-1.
             # A row permutation that maps one prefix's classes onto
@@ -190,8 +200,7 @@ def _descend(
             # and the two columns beside the boundary, and rows tied on
             # ride count that both drop (or both take) carry the same
             # letter.  So the two prefixes add the same (total, optimal).
-            last = cols[-1] if cols else 0
-            classes = sorted(2 * c + (last >> i & 1) for i, c in enumerate(caps))
+            classes = sorted(2 * c + (prev >> i & 1) for i, c in enumerate(caps))
             key = (j, ok, tuple(classes))
             hit = memo.get(key)
             # Taken unless the subtree may hold an example still wanted.
@@ -202,18 +211,16 @@ def _descend(
             before = total, optimal
         cols_left = n - j
         forced = [i for i in range(n) if caps[i] == cols_left]
-        if len(forced) > k:
-            return
         free = [i for i in range(n) if 0 < caps[i] < cols_left]
-        need = k - len(forced)
-        if need > len(free):
-            return
         bit = 1 << j
         test = ok and j - 1 in scanned
-        prev = cols[-1] if j else 0
+        if test:
+            slices: list[int] = []  # ride counts through column j-1
+            for col in cols:
+                _add_column(slices, col)
         if j and runs:
             prev_rows = _mask_rows(prev)
-        for combo in combinations(free, need):
+        for combo in combinations(free, k - len(forced)):
             support = forced + list(combo)
             col = 0
             for i in support:
@@ -230,12 +237,8 @@ def _descend(
                 taken = sorted([caps[i] + 1 for i in support if not prev >> i & 1])
                 dropped = sorted([caps[i] for i in prev_rows if not col >> i & 1])
                 child_runs = all(map(le, dropped, taken))
-            child_slices = slices
-            if child_ok and j < settled_at - 1:
-                child_slices = slices.copy()
-                _add_column(child_slices, col)
             cols.append(col)
-            place(j + 1, child_slices, child_ok, child_runs)
+            place(j + 1, child_ok, child_runs)
             cols.pop()
             for i in support:
                 caps[i] += 1
@@ -243,7 +246,7 @@ def _descend(
         if visitor is None:
             memo[key] = (total - before[0], optimal - before[1])
 
-    place(0, [], True, probe)
+    place(0, True, probe)
     return EnumerationReport(
         n=n,
         k=k,
@@ -348,7 +351,7 @@ def verify_cyclic_structure(n: int, k: int) -> CyclicStructureReport:
     another with offset r solving k*r = d (mod n).
     """
     M = cyclic_matrix(n, k)
-    d = gcd(n, k) if k else n
+    d = gcd(n, k)
     n_p, k_p = n // d, k // d
     rows = M.rows
     cols = list(zip(*rows))

@@ -40,13 +40,14 @@ def test_gen_writes_matrix_to_stdout():
 
 
 def test_gen_to_file_then_check(tmp_path):
-    target = tmp_path / "c.mat"
-    code, out, _ = invoke("gen", "--kind", "transpose-cyclic", "--n", "7", "--k", "3", "-o", str(target))
-    assert code == 0
-    assert f"file: {target}" in out
-    code, out, _ = invoke("check", str(target))
-    assert code == 0
-    assert "optimal: true" in out
+    for kind in ("transpose-cyclic", "circulant"):
+        target = tmp_path / f"{kind}.mat"
+        code, out, _ = invoke("gen", "--kind", kind, "--n", "7", "--k", "3", "-o", str(target))
+        assert code == 0
+        assert f"file: {target}" in out
+        code, out, _ = invoke("check", str(target))
+        assert code == 0, kind
+        assert "optimal: true" in out
 
 
 def test_check_reads_stdin(monkeypatch, fixtures_dir):

@@ -142,8 +142,10 @@ def test_single_ride_recognition():
     assert is_single_ride_cyclic(permute_rows(cyclic_matrix(6, 2), [3, 0, 5, 1, 2, 4]))
     # Same row shapes, different multiset: not a reordering of the cyclic scheme.
     assert not is_single_ride_cyclic(circulant_matrix(6, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="uniform"):
         is_single_ride_cyclic(BinaryScheme(((1, 1), (1, 0))))
+    with pytest.raises(ValueError, match="square"):
+        is_single_ride_cyclic(BinaryScheme(((1, 0),) * 4))
 
 
 def test_circulant_agrees_with_cyclic_up_to_rows_when_coprime():
@@ -211,6 +213,10 @@ def test_block_compose_rejects_bad_cells():
         block_compose(6, 4, 1, [[cyclic_matrix(4, 2)], [cyclic_matrix(4, 2)]])
     with pytest.raises(ValueError):
         block_compose(6, 4, 1, [[cyclic_matrix(3, 1)], [cyclic_matrix(3, 1)]])
+    with pytest.raises(ValueError, match="stage block"):
+        block_compose(4, 2, 0, [])
+    with pytest.raises(ValueError, match="stage"):
+        valid_stage_counts(4, 2, 0)
 
 
 def test_block_compose_rejects_non_optimal_cell():

@@ -10,6 +10,7 @@ from bikerelay import (
     BinaryScheme,
     TieOrder,
     Verdict,
+    bicycle_itineraries,
     binary_dual,
     block_compose,
     build_assignment_plan,
@@ -281,6 +282,24 @@ def test_plan_violations_are_located(split_riders):
     check = verify_plan(split_riders, AssignmentPlan.from_maps(broken))
     assert not check.valid
     assert check.violation.condition in ("identity", "injectivity")
+
+    broken = [dict(m) for m in maps]
+    broken[0][5] = 5
+    check = verify_plan(split_riders, AssignmentPlan.from_maps(broken))
+    assert not check.valid
+    assert (check.violation.boundary, check.violation.condition) == (0, "domain")
+    assert (check.violation.row, check.violation.mapped_to) == (5, 5)
+
+    broken = [dict(m) for m in maps]
+    broken[2][0] = 1
+    bad = AssignmentPlan.from_maps(broken)
+    check = verify_plan(split_riders, bad)
+    assert not check.valid
+    assert (check.violation.boundary, check.violation.condition) == (2, "range")
+    assert (check.violation.row, check.violation.mapped_to) == (0, 1)
+    for use in (complementary_plan, bicycle_itineraries):
+        with pytest.raises(ValueError, match="not valid"):
+            use(split_riders, bad)
 
     with pytest.raises(ValueError):
         verify_plan(split_riders, AssignmentPlan.from_maps(maps[:3]))

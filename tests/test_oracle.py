@@ -11,18 +11,20 @@ from bikerelay import (
     EnumerationReport,
     Mismatch,
     SpeedModel,
+    canonical_word,
     cross_validate,
     cyclic_matrix,
     decide_optimal,
     determinant_exact,
     enumerate_uniform,
+    is_dyck,
     random_uniform,
     uniformity,
     verify_cyclic_structure,
 )
 from bikerelay import oracle
 from bikerelay.oracle import DEFAULT_SPEED_RATIOS
-from bikerelay.simulate import _execute, _stage_ticks
+from bikerelay.simulate import _Log, _execute, _stage_ticks
 
 # Counts of n x n binary matrices with all line sums k, by independent
 # per-column dynamic programming over row capacity multisets.
@@ -207,6 +209,45 @@ def test_enumeration_guard():
 def test_negative_max_examples_is_refused():
     with pytest.raises(ValueError, match="max_examples"):
         enumerate_uniform(4, 2, max_examples=-1)
+
+
+def test_bad_parameters_are_refused():
+    with pytest.raises(ValueError, match="bad parameters"):
+        enumerate_uniform(0, 0)
+    with pytest.raises(ValueError, match="bad parameters"):
+        cross_validate(3, -1)
+    with pytest.raises(ValueError, match="bad parameters"):
+        random_uniform(3, 4, random.Random(0))
+
+
+def test_the_forced_last_column_changes_no_verdict():
+    # The descent stops before the last column.  That is sound because
+    # no boundary next to it can fail a word (the skip rule's claim) and
+    # no greedy run stalls first at the last post.  Both facts read only
+    # ride counts, so they hold for a matrix iff they hold for its row
+    # permutations: one stalling (6,3) matrix per row multiset stands
+    # for all 9,560.  Random uniform schemes up to n = 16 join them.
+    stalling = enumerate_uniform(6, 3, max_examples=10_000).minimal_nonoptimal_examples
+    assert len(stalling) == 9560
+    by_rows = {tuple(sorted(M.masks)): M for M in stalling}
+    rng = random.Random(20261018)
+    sampled = [random_uniform(n, rng.randint(0, n), rng) for n in range(1, 17) for _ in range(25)]
+    ticks = [_stage_ticks(SpeedModel(1, r))[:2] for r in DEFAULT_SPEED_RATIOS]
+
+    def stalling_runs(M):
+        m = M.m
+        for b in {0, 1, m - 3, m - 2} & set(range(m - 1)):
+            assert is_dyck(canonical_word(M, b)), (M.masks, b)
+        runs = 0
+        for walk, ride in ticks:
+            log = _Log(full=False)
+            if not _execute(M, walk, ride, log=log):
+                runs += 1
+                assert log.stalls[0][1] < m - 1, (M.masks, walk, ride)
+        return runs
+
+    assert all(stalling_runs(M) == len(ticks) for M in by_rows.values())
+    assert sum(map(stalling_runs, sampled)) >= 100
 
 
 def test_cross_validate_small():

@@ -164,6 +164,10 @@ def test_parse_errors_carry_line_numbers(text, bad_line):
 def test_scheme_rejects_ragged_rows():
     with pytest.raises(ValueError):
         BinaryScheme(((1, 0), (1,)))
+    with pytest.raises(ValueError, match="traveller"):
+        BinaryScheme([])
+    with pytest.raises(ValueError, match="stage"):
+        BinaryScheme([[]])
 
 
 def test_line_sums():
@@ -228,6 +232,9 @@ def test_scheme_usable_as_dict_key():
     b = BinaryScheme(((1, 0), (0, 1)))
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
+    with pytest.raises(AttributeError):
+        a.n = 3
+    assert a == b and a.n == 2
 
 
 @settings(max_examples=250, deadline=None)

@@ -13,6 +13,7 @@ from bikerelay import (
     DeadlockError,
     CohortProfile,
     SpeedModel,
+    binary_dual,
     block_compose,
     build_assignment_plan,
     cohort_profile,
@@ -23,7 +24,10 @@ from bikerelay import (
     first_stall_ride_index,
     is_executable_without_stall,
     parse_scheme,
+    permute_rows,
     random_uniform,
+    reduce_scheme,
+    reverse_stages,
     simulate,
     transpose_cyclic_matrix,
     valid_stage_counts,
@@ -433,24 +437,39 @@ def test_word_verdict_equals_execution_past_the_exhaustive_range():
     for n in (16, 32, 64):
         verdicts = set()
         referenced = 0
+        schemes = []
         for k in (2, 3, n // 4, n // 2, n - 3, n - 2) * 2:
             base = random_uniform(n, k, rng)
             cols = list(range(n))
             rng.shuffle(cols)
-            for M in (base, BinaryScheme([[row[c] for c in cols] for row in base.rows])):
-                optimal = decide_optimal(M).optimal
-                verdicts.add(optimal)
-                for ratio in DEFAULT_SPEED_RATIOS:
-                    speeds = SpeedModel(1, ratio)
-                    assert is_executable_without_stall(M, speeds) is optimal, (n, k, ratio)
-                    first = first_stall_ride_index(M, speeds)
-                    assert (first is None) is optimal, (n, k, ratio)
-                    if first is not None and referenced < 3:
-                        referenced += 1
-                        trace = reference_simulate(M, speeds)
-                        assert first == reference_first_stall_ride_index(trace), (n, k, ratio)
+            schemes += [base, BinaryScheme([[row[c] for c in cols] for row in base.rows])]
+        if n == 64:
+            # random_uniform gives optimal schemes here only at k near 0 or n.
+            # The paper's symmetries keep optimality, so applied to the
+            # cyclic families and their reductions they give mid-k ones.
+            pi = random.Random(n).sample(range(n), n)
+            for k in (n // 4, n // 3, n // 2):
+                for C in (cyclic_matrix(n, k), transpose_cyclic_matrix(n, k)):
+                    for S in (C, reduce_scheme(C)[0]):
+                        schemes += [permute_rows(S, pi), reverse_stages(S), binary_dual(S)]
+        mid_k_optimal = False
+        for M in schemes:
+            k = M.row_sums[0]
+            optimal = decide_optimal(M).optimal
+            verdicts.add(optimal)
+            mid_k_optimal |= optimal and n / 4 <= k <= 3 * n / 4
+            for ratio in DEFAULT_SPEED_RATIOS:
+                speeds = SpeedModel(1, ratio)
+                assert is_executable_without_stall(M, speeds) is optimal, (n, k, ratio)
+                first = first_stall_ride_index(M, speeds)
+                assert (first is None) is optimal, (n, k, ratio)
+                if first is not None and referenced < 3:
+                    referenced += 1
+                    trace = reference_simulate(M, speeds)
+                    assert first == reference_first_stall_ride_index(trace), (n, k, ratio)
         assert verdicts == {True, False}, n
         assert referenced == 3, n
+        assert mid_k_optimal or n < 64
     # Rectangular schemes: block_compose at stage counts valid_stage_counts
     # allows, tall (m < n) and wide (m > n), and a seeded column
     # permutation of each.
