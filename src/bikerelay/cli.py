@@ -85,7 +85,12 @@ def _speed(text: str) -> Fraction:
 
 def _read_scheme(path: str) -> BinaryScheme:
     if path == "-":
-        return parse_scheme(sys.stdin.read())
+        # Strict UTF-8, as a file is read: the interpreter's own stdin
+        # may use surrogateescape and so accept bytes a file would not.
+        stdin = sys.stdin
+        if hasattr(stdin, "buffer"):
+            return parse_scheme(stdin.buffer.read().decode("utf-8"))
+        return parse_scheme(stdin.read())
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scheme(fh.read())
 

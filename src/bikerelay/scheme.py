@@ -25,6 +25,7 @@ the rows view.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -34,6 +35,8 @@ _BINARY = frozenset((0, 1))
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _set = object.__setattr__
+# Where str.splitlines breaks a line, "\n" aside.
+_LINE_BREAK = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class SchemeFormatError(ValueError):
@@ -177,12 +180,18 @@ def _rows_of(masks: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _columns_of(masks: tuple[int, ...], m: int) -> tuple[int, ...]:
-    return _text_columns("".join(_digit_rows(masks, m)), m)
+    # Each row in binary is that row reversed, so this is every digit reversed.
+    fmt = f"0{m}b"
+    return _text_columns("".join(format(x, fmt) for x in reversed(masks)), m)
 
 
-def _text_columns(digits: str, m: int) -> tuple[int, ...]:
-    """Column masks of a matrix written row after row as m digits per row."""
-    return tuple(int(digits[j::m][::-1], 2) for j in range(m))
+def _text_columns(r: str, m: int) -> tuple[int, ...]:
+    """Column masks of the matrix whose digits, row after row with m to a row, are r reversed.
+
+    In r, column j is every m-th digit from index m-1-j, row n-1 first:
+    its mask in binary, highest bit first.
+    """
+    return tuple(int(r[m - 1 - j :: m], 2) for j in range(m))
 
 
 @dataclass(frozen=True)
@@ -214,11 +223,16 @@ def parse_scheme(text: str) -> BinaryScheme:
     Format: optional comment lines starting with '#'; the first
     non-comment line is '<rows> <cols>'; then that many rows of
     0/1 tokens separated by any whitespace.  Trailing newline optional.
+    Text in format_scheme's exact shape is read in one pass; anything
+    else line by line, with the same result.
 
     Raises:
         SchemeFormatError: malformed header, non-binary entry, or
             ragged row, reported with its 1-based line number.
     """
+    M = _read_canonical(text)
+    if M is not None:
+        return M
     lines = text.splitlines()
     header = None
     header_line = 0
@@ -280,7 +294,50 @@ def parse_scheme(text: str) -> BinaryScheme:
             break
     if len(masks) != n:
         raise SchemeFormatError(len(lines) or 1, f"expected {n} rows, got {len(masks)}")
-    return BinaryScheme._from_masks(tuple(masks), m, _text_columns("".join(digits), m))
+    return BinaryScheme._from_masks(tuple(masks), m, _text_columns("".join(digits)[::-1], m))
+
+
+def _read_canonical(text: str) -> BinaryScheme | None:
+    """Read text in format_scheme's exact shape in one pass, else None.
+
+    The shape is: lines starting with '#', then '<n> <m>' in ASCII
+    digits, then n rows of m digits 0 or 1 with one " " between them,
+    every line ending in "\n".  Anything else, well formed or not, is
+    left to the line parser, so every SchemeFormatError comes from there.
+    """
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    end = text.find("\n", start)
+    n_text, space, m_text = text[start:end].partition(" ")
+    if not (
+        end > 0
+        and space
+        and n_text.isascii() and n_text.isdigit()
+        and m_text.isascii() and m_text.isdigit()
+        and not _LINE_BREAK.search(text, 0, end)
+    ):
+        return None
+    try:
+        n, m = int(n_text), int(m_text)
+    except ValueError:  # more digits than int converts
+        return None
+    # The length is checked first, so an absurd header allocates nothing.
+    if n < 1 or m < 1 or len(text) - end - 1 != 2 * n * m:
+        return None
+    if text[end + 2 :: 2] != (" " * (m - 1) + "\n") * n:
+        return None
+    # Every digit once, last first: row i is a run of m, column j every m-th.
+    r = text[-2:end:-2]
+    if r.count("0") + r.count("1") != n * m:
+        return None
+    return BinaryScheme._from_masks(
+        tuple(int(r[i : i + m], 2) for i in range((n - 1) * m, -1, -m)),
+        m,
+        _text_columns(r, m),
+    )
 
 
 def format_scheme(M: BinaryScheme, comment: str | None = None) -> str:

@@ -57,6 +57,39 @@ def test_check_reads_stdin(monkeypatch, fixtures_dir):
     assert code == 0 and "optimal: true" in out
 
 
+@pytest.mark.parametrize(
+    "data, code",
+    [(b"# caf\xe9\n2 2\n1 0\n0 1\n", 2), ("# caf\u00e9\n2 2\n1 0\n0 1\n".encode(), 0)],
+)
+def test_stdin_and_file_read_the_same_bytes_alike(monkeypatch, tmp_path, data, code):
+    # The interpreter's stdin decodes with surrogateescape in UTF-8 mode
+    # or the POSIX locale; check must still read it as it reads a file.
+    src = tmp_path / "cafe.mat"
+    src.write_bytes(data)
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert invoke("check", "-") == invoke("check", str(src))
+    procs = [
+        subprocess.run(
+            [sys.executable, "-X", "utf8", "-m", "bikerelay.cli", "check", path],
+            input=data,
+            capture_output=True,
+        )
+        for path in ("-", str(src))
+    ]
+    assert [(p.returncode, p.stdout, p.stderr) for p in procs] == [
+        (procs[1].returncode, procs[1].stdout, procs[1].stderr)
+    ] * 2
+    assert procs[0].returncode == code
+    if code == 0:
+        assert b"optimal: true" in procs[0].stdout
+    else:
+        assert procs[0].stderr == (
+            b"error: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+            b"invalid continuation byte\n"
+        )
+
+
 def test_check_non_optimal_reports_boundary(fixtures_dir):
     code, out, _ = invoke("check", str(fixtures_dir / "split_riders_swapped.mat"))
     assert code == 1

@@ -1,3 +1,6 @@
+import io
+from contextlib import redirect_stdout
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -33,6 +36,10 @@ from bikerelay import (
     uniformity,
     verify_plan,
 )
+from bikerelay import scheme
+from bikerelay.cli import run
+from bikerelay.scheme import _read_canonical
+
 
 def reference_parse(text):
     """The token-by-token parser: one tuple per row, validated entry by entry."""
@@ -321,6 +328,120 @@ def test_parse_matches_the_token_parser_where_the_slice_test_partly_holds(text):
     assert got == want
     if isinstance(got, BinaryScheme):
         assert got.rows == want.rows
+
+
+# Where str.splitlines breaks a line, "\n" aside.
+LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+ONE_PASS_SCHEME = BinaryScheme(((1, 0, 1, 1), (0, 1, 0, 0), (1, 1, 0, 1)))
+
+
+def header_at(text):
+    """Index of the header line: just past the leading '#' lines."""
+    start = 0
+    while text.startswith("#", start):
+        start = text.index("\n", start) + 1
+    return start
+
+
+def body_at(text):
+    """Index of the first row: just past the header line."""
+    return text.index("\n", header_at(text)) + 1
+
+
+def at(text, i, new, cut=1):
+    return text[:i] + new + text[i + cut :]
+
+
+# Each row is 8 characters, so row 1 starts at body_at + 8.
+MUTATIONS = [
+    ("no final newline", lambda t: t[:-1]),
+    ("crlf", lambda t: t.replace("\n", "\r\n")),
+    ("trailing comment", lambda t: t + "# tail\n"),
+    ("tab in the header", lambda t: at(t, t.index(" ", header_at(t)), "\t")),
+    ("tab in a row", lambda t: at(t, body_at(t) + 9, "\t")),
+    *(
+        (f"{ch!r} at a digit", lambda t, ch=ch: at(t, body_at(t) + 10, ch))
+        for ch in ("_", " ", "2", "３")
+    ),
+    ("short last row", lambda t: t[:-3] + "\n"),
+    ("extra row", lambda t: t + t[-8:]),
+    *(
+        (f"{ch!r} in a comment", lambda t, ch=ch: f"# a{ch}1 1\n" + t)
+        for ch in LINE_BREAKS
+    ),
+    ("space before the header", lambda t: at(t, header_at(t), " ", 0)),
+    ("blank line before a row", lambda t: at(t, body_at(t) + 8, "\n", 0)),
+]
+
+
+def one_mutation_texts():
+    for comment in (None, "a", "a\nb", ""):
+        text = format_scheme(ONE_PASS_SCHEME, comment)
+        for name, mutate in MUTATIONS:
+            yield pytest.param(mutate(text), id=f"{name}, comment {comment!r}")
+    # A header of 10**24 entries: neither parser may build anything that size.
+    yield pytest.param("# c\n1000000000000 1000000000000\n0 1\n", id="absurd header")
+    yield pytest.param("9" * 5000 + " 1\n1\n", id="header past int's digit limit")
+
+
+def assert_same_outcome(text):
+    got = outcome(parse_scheme, text)
+    want = outcome(reference_parse, text)
+    assert got == want
+    if isinstance(got, BinaryScheme):
+        assert got.rows == want.rows and got.col_masks == want.col_masks
+
+
+@pytest.mark.parametrize("text", one_mutation_texts())
+def test_the_one_pass_reader_leaves_each_mutation_to_the_line_parser(text):
+    assert _read_canonical(text) is None
+    assert_same_outcome(text)
+
+
+@st.composite
+def damaged_formatted_texts(draw):
+    """format_scheme output with up to two characters cut and up to two put in, at one place."""
+    text = format_scheme(draw(matrices), draw(st.sampled_from([None, "a", "a\nb", ""])))
+    i = draw(st.integers(0, len(text)))
+    new = draw(st.text("01 \t\n#_2３" + LINE_BREAKS, max_size=2))
+    return at(text, i, new, draw(st.integers(0, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_formatted_texts())
+def test_parse_equals_the_token_parser_on_damaged_formatted_text(text):
+    assert_same_outcome(text)
+
+
+def test_parse_scheme_reads_what_format_scheme_writes_in_one_pass(
+    fixtures_dir, tmp_path, monkeypatch
+):
+    # Falling back to the line parser would give the same schemes, only
+    # slower, so each parse must return the one-pass reader's own result.
+    read = []
+
+    def spy(text):
+        read.append(_read_canonical(text))
+        return read[-1]
+
+    monkeypatch.setattr(scheme, "_read_canonical", spy)
+
+    def assert_read_in_one_pass(text):
+        got = parse_scheme(text)
+        assert got is read[-1]
+        want = reference_parse(text)
+        assert got == want
+        assert got.rows == want.rows and got.col_masks == want.col_masks
+
+    M = transpose_cyclic_matrix(11, 7)
+    for comment in (None, "a comment\nof two lines", "\n#\n"):
+        assert_read_in_one_pass(format_scheme(M, comment))
+    reduced = tmp_path / "reduced.mat"
+    with redirect_stdout(io.StringIO()):
+        assert run(["reduce", str(fixtures_dir / "split_riders.mat"), "-o", str(reduced)]) == 0
+    # Every fixture is written in format_scheme's shape.
+    for path in [reduced, *sorted(fixtures_dir.glob("*.mat"))]:
+        assert_read_in_one_pass(path.read_text(encoding="utf-8"))
 
 
 schemes_up_to_64 = st.integers(1, 64).flatmap(
