@@ -85,12 +85,17 @@ def _speed(text: str) -> Fraction:
 
 def _read_scheme(path: str) -> BinaryScheme:
     if path == "-":
-        # Strict UTF-8, as a file is read: the interpreter's own stdin
-        # may use surrogateescape and so accept bytes a file would not.
+        # As a file is read: strict UTF-8 (the interpreter's own stdin
+        # may use surrogateescape and so accept bytes a file would not)
+        # and universal newlines, "\r\n" and a lone "\r" read as "\n".
         stdin = sys.stdin
         if hasattr(stdin, "buffer"):
-            return parse_scheme(stdin.buffer.read().decode("utf-8"))
-        return parse_scheme(stdin.read())
+            text = stdin.buffer.read().decode("utf-8")
+        else:
+            text = stdin.read()
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return parse_scheme(text)
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scheme(fh.read())
 

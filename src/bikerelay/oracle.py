@@ -25,7 +25,7 @@ from typing import Callable
 
 from .generators import cyclic_matrix
 from .optimality import _add_column, _is_dyck_at, _scanned_boundaries
-from .scheme import BinaryScheme, _mask_rows
+from .scheme import BinaryScheme
 from .simulate import SpeedModel, _execute, _stage_ticks
 
 EXHAUSTIVE_GUARD = 7
@@ -150,8 +150,10 @@ def _descend(
     disagree; the others are never built.
 
     The prefix is recorded once, as caps, row masks and columns; ride
-    count slices are built where a boundary is tested.  The descent
-    stops at the forced last column.
+    count slices are built where a boundary is tested.  Each node keeps
+    the supports of one table of columns that its caps allow, sorts its
+    caps once for the test, and at depth n-2 counts its children, which
+    the forced last column finishes, without placing them.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"bad parameters n={n}, k={k}")
@@ -163,34 +165,40 @@ def _descend(
             "pass force=True (--force on the command line) to insist"
         )
     scanned = _scanned_boundaries(k, n, True)
+    # Every column support as (mask, rows), in lexicographic order.  Two
+    # supports that hold the same forced rows first differ outside them,
+    # so the ones a node keeps come in the order of their free parts.
+    table = [(sum(1 << i for i in rows), rows) for rows in combinations(range(n), k)]
     caps = [k] * n
     masks = [0] * n  # row masks of the columns placed so far
     cols: list[int] = []
     total = optimal = 0
     examples: list[BinaryScheme] = []
     memo: dict[tuple, tuple[int, int]] = {}
+    # The visitor gets every matrix, or with probe only those where the
+    # test and the word verdict disagree.
+    list_all = visitor is not None and not probe
+    list_odd = visitor is not None and probe
+
+    def build(col: int) -> BinaryScheme:
+        # The matrix whose column n-2 is col: the last column is the
+        # rows with a ride left after it.
+        left = [c - (col >> i & 1) for i, c in enumerate(caps)]
+        last = sum(c << i for i, c in enumerate(left))
+        rows = tuple(
+            x | (col >> i & 1) << (n - 2) | c << (n - 1)
+            for i, (x, c) in enumerate(zip(masks, left))
+        )
+        return BinaryScheme._from_masks(rows, n, (*cols, col, last))
 
     def place(j: int, ok: bool, runs: bool):
-        # On entry every cap is at most n-j and the caps sum to k*(n-j),
-        # so no branch dies; runs is whether the probe found no stall.
+        # On entry j <= n-2, every cap is at most n-j and the caps sum to
+        # k*(n-j), so no branch dies; runs is whether the probe found no
+        # stall.  The children at j = n-2 are finished matrices: the last
+        # column is the k rows with cap 1, it closes no scanned boundary,
+        # and its droppers have one ride more than its takers.  They are
+        # counted here and built only to be shown or kept as examples.
         nonlocal total, optimal
-        if j == n - 1:
-            # The last column is the k rows with cap 1: it closes no scanned
-            # boundary, and its droppers have one ride more than its takers.
-            total += 1
-            if ok:
-                optimal += 1
-            wanted = not ok and len(examples) < max_examples
-            shown = visitor is not None and (not probe or runs != ok)
-            if wanted or shown:
-                last = sum(c << i for i, c in enumerate(caps))
-                rows = tuple(x | c << j for x, c in zip(masks, caps))
-                M = BinaryScheme._from_masks(rows, n, (*cols, last))
-                if wanted:
-                    examples.append(M)
-                if shown:
-                    visitor(M, ok)
-            return
         prev = cols[-1] if j else 0
         if visitor is None:
             # A row's class is its cap and whether it rides column j-1.
@@ -209,34 +217,57 @@ def _descend(
                 optimal += hit[1]
                 return
             before = total, optimal
-        cols_left = n - j
-        forced = [i for i in range(n) if caps[i] == cols_left]
-        free = [i for i in range(n) if 0 < caps[i] < cols_left]
+        # A support holds every forced row (cap n-j) and no spent one (cap 0).
+        forced = spent = 0
+        for i, c in enumerate(caps):
+            if c == n - j:
+                forced |= 1 << i
+            elif not c:
+                spent |= 1 << i
+        held = forced | spent
+        finishing = j == n - 2
         bit = 1 << j
         test = ok and j - 1 in scanned
         if test:
             slices: list[int] = []  # ride counts through column j-1
             for col in cols:
                 _add_column(slices, col)
-        if j and runs:
-            prev_rows = _mask_rows(prev)
-        for combo in combinations(free, k - len(forced)):
-            support = forced + list(combo)
-            col = 0
-            for i in support:
-                caps[i] -= 1
-                masks[i] |= bit
-                col |= 1 << i
+        probing = j and runs
+        if probing:
+            # The caps through column j-1, ascending, of the rows that
+            # ride it (droppers, unless they ride column j too) and of the
+            # rest (takers, if they ride column j).
+            ranked = sorted((c, i) for i, c in enumerate(caps))
+            drops = [(c, 1 << i) for c, i in ranked if prev >> i & 1]
+            rest = [(c, 1 << i) for c, i in ranked if not prev >> i & 1]
+        for col, support in table:
+            if col & held != forced:
+                continue
             child_ok = ok
             if test:
                 child_ok = _is_dyck_at(prev & ~col, col & ~prev, slices, False)
             child_runs = runs
-            if j and runs:
-                # The first-come test at post j, on the caps through
-                # column j-1 (a taker's is one more than it is now).
-                taken = sorted([caps[i] + 1 for i in support if not prev >> i & 1])
-                dropped = sorted([caps[i] for i in prev_rows if not col >> i & 1])
+            if probing:
+                # The first-come test at post j.
+                dropped = [c for c, b in drops if not col & b]
+                taken = [c for c, b in rest if col & b]
                 child_runs = all(map(le, dropped, taken))
+            if finishing:
+                total += 1
+                if child_ok:
+                    optimal += 1
+                wanted = not child_ok and len(examples) < max_examples
+                shown = list_all or list_odd and child_runs != child_ok
+                if wanted or shown:
+                    M = build(col)
+                    if wanted:
+                        examples.append(M)
+                    if shown:
+                        visitor(M, child_ok)
+                continue
+            for i in support:
+                caps[i] -= 1
+                masks[i] |= bit
             cols.append(col)
             place(j + 1, child_ok, child_runs)
             cols.pop()
@@ -246,7 +277,13 @@ def _descend(
         if visitor is None:
             memo[key] = (total - before[0], optimal - before[1])
 
-    place(0, True, probe)
+    if n == 1:
+        # The one matrix [k]: no post to probe, no boundary to scan.
+        total = optimal = 1
+        if list_all:
+            visitor(BinaryScheme._from_masks((k,), 1, (k,)), True)
+    else:
+        place(0, True, probe)
     return EnumerationReport(
         n=n,
         k=k,

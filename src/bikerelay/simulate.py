@@ -370,10 +370,12 @@ def cohort_profile(trace: SimulationTrace) -> CohortProfile:
     walk, ride, _ = _stage_ticks(trace.speeds)
     m = trace.scheme.m
     unit = 2 * walk * ride
-    # legs[i] holds traveller i's arrival half ticks at posts 0..m and
-    # their pace on stages 0..m-1, then 0 once at post m.
+    # Each entry of legs holds a distinct row's arrival half ticks at
+    # posts 0..m and its pace on stages 0..m-1, then 0 once at post m.
+    # Equal rows share a trajectory and the positions form a set, so
+    # each distinct row is swept once.
     legs = []
-    for x in trace.scheme.masks:
+    for x in set(trace.scheme.masks):
         paces = [walk if x >> j & 1 else ride for j in range(m)]
         arrive = list(accumulate((unit // p for p in paces), initial=0))
         paces.append(0)

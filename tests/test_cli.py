@@ -90,6 +90,33 @@ def test_stdin_and_file_read_the_same_bytes_alike(monkeypatch, tmp_path, data, c
         )
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_stdin_reads_line_ends_as_a_file_does(monkeypatch, tmp_path, newline):
+    # A file is read with universal newlines; stdin must be too, so the
+    # text reaches parse_scheme (and its one-pass reader) without "\r".
+    text = format_scheme(cyclic_matrix(64, 31), comment="cyclic n=64 k=31")
+    data = text.replace("\n", newline).encode()
+    src = tmp_path / "cyclic.mat"
+    src.write_bytes(data)
+    handed = []
+    parse = cli.parse_scheme
+    monkeypatch.setattr(cli, "parse_scheme", lambda t: handed.append(t) or parse(t))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert invoke("check", "-", "--porcelain") == invoke("check", str(src), "--porcelain")
+    assert handed == [text, text]
+    procs = [
+        subprocess.run(
+            [sys.executable, "-m", "bikerelay.cli", "check", path, "--porcelain"],
+            input=data,
+            capture_output=True,
+        )
+        for path in ("-", str(src))
+    ]
+    assert procs[0].returncode == procs[1].returncode == 0
+    assert procs[0].stdout == procs[1].stdout
+    assert b"optimal: true" in procs[0].stdout
+
+
 def test_check_non_optimal_reports_boundary(fixtures_dir):
     code, out, _ = invoke("check", str(fixtures_dir / "split_riders_swapped.mat"))
     assert code == 1

@@ -285,6 +285,34 @@ def test_cross_validation_equals_the_per_leaf_executions_up_to_n5(monkeypatch):
             assert cross_validate(n, k) == reference_cross_validate(n, k), (n, k)
 
 
+def test_the_probe_descent_reports_the_census():
+    # cross_validate drops the report of its descent.  With the probe on
+    # the memo is off and the last level is counted in place, so equal
+    # reports show that each labelled matrix is counted once and the
+    # examples are the same ones, in the same order.
+    for n in range(1, 7):
+        for k in range(n + 1):
+            for e in (0, 1, 4):
+                shown = []
+                rep = oracle._descend(n, k, lambda M, ok: shown.append(M), False, e, probe=True)
+                assert rep == enumerate_uniform(n, k, max_examples=e), (n, k, e)
+                assert shown == [], (n, k, e)
+
+
+def test_the_probe_alone_finds_every_stall_in_order(monkeypatch):
+    # With every word called Dyck, the matrices shown are exactly those
+    # the probe finds a stall in: the 9,560 stalling (6,3) matrices, in
+    # the order of the census's examples.  That pins the presorted caps,
+    # the column order and the level counted in place.
+    stalling = enumerate_uniform(6, 3, max_examples=10_000).minimal_nonoptimal_examples
+    monkeypatch.setattr(oracle, "_is_dyck_at", lambda *args: True)
+    shown = []
+    rep = oracle._descend(6, 3, lambda M, ok: shown.append((M, ok)), False, 0, probe=True)
+    assert rep == EnumerationReport(6, 3, 297_200, 297_200, 0)
+    assert len(shown) == 9560
+    assert shown == [(M, True) for M in stalling]
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 10), st.integers(0, 2**32 - 1))
 @example(40, 20, 0)
