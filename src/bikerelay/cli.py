@@ -89,6 +89,8 @@ def _read_scheme(path: str) -> BinaryScheme:
         # may use surrogateescape and so accept bytes a file would not)
         # and universal newlines, "\r\n" and a lone "\r" read as "\n".
         stdin = sys.stdin
+        if stdin is None:  # fd 0 was closed when the interpreter started
+            raise OSError("cannot read stdin: it is closed")
         if hasattr(stdin, "buffer"):
             text = stdin.buffer.read().decode("utf-8")
         else:

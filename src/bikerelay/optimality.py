@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .scheme import BinaryScheme, _common_sums, _mask_rows, uniformity
+from .scheme import BinaryScheme, _mask_rows, uniformity
 
 
 class TieOrder(enum.Enum):
@@ -283,12 +283,11 @@ def decide_optimal(
     is identical with and without the flag.  TAKE_FIRST always scans
     every boundary, since ties can break those words.
     """
-    sums = _common_sums(M)
-    if sums is None:
+    uni = uniformity(M)
+    if not uni.is_uniform:
         return Verdict(False, None, "not-uniform")
-    k, l = sums
     take_first = tie_order is TieOrder.TAKE_FIRST
-    scanned = _scanned_boundaries(l, M.m, use_skip_rule and not take_first)
+    scanned = _scanned_boundaries(uni.l, M.m, use_skip_rule and not take_first)
     cols = M.col_masks
     slices: list[int] = []
     for b in range(scanned.stop):
@@ -298,8 +297,8 @@ def decide_optimal(
             continue
         if not _is_dyck_at(first & ~second, second & ~first, slices, take_first):
             word = "".join(e[3] for e in _word_letters(M, b, tie_order))
-            return Verdict(False, k, "non-dyck", b, word)
-    return Verdict(True, k, "optimal")
+            return Verdict(False, uni.k, "non-dyck", b, word)
+    return Verdict(True, uni.k, "optimal")
 
 
 def build_assignment_plan(

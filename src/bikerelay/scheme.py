@@ -35,8 +35,8 @@ _BINARY = frozenset((0, 1))
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _set = object.__setattr__
-# Where str.splitlines breaks a line, "\n" aside.
-_LINE_BREAK = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# Where str.splitlines ends a line, and the end of the text.
+_LINE_END = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]|\\Z")
 
 
 class SchemeFormatError(ValueError):
@@ -223,118 +223,89 @@ def parse_scheme(text: str) -> BinaryScheme:
     Format: optional comment lines starting with '#'; the first
     non-comment line is '<rows> <cols>'; then that many rows of
     0/1 tokens separated by any whitespace.  Trailing newline optional.
-    Text in format_scheme's exact shape is read in one pass; anything
-    else line by line, with the same result.
+    Lines end where str.splitlines ends them.  A body in format_scheme's
+    exact shape is read in one pass; any other body line by line, with
+    the same result.
 
     Raises:
         SchemeFormatError: malformed header, non-binary entry, or
             ragged row, reported with its 1-based line number.
     """
-    M = _read_canonical(text)
-    if M is not None:
-        return M
-    lines = text.splitlines()
-    header = None
-    header_line = 0
-    body_start = 0
-    for idx, raw in enumerate(lines):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        header = stripped
-        header_line = idx + 1
-        body_start = idx + 1
-        break
-    if header is None:
-        raise SchemeFormatError(len(lines) or 1, "missing header line '<rows> <cols>'")
+    start = 0
+    line = 1
+    while True:
+        brk = _LINE_END.search(text, start)
+        header = text[start : brk.start()].strip()
+        if header and not header.startswith("#"):
+            break
+        if brk.end() == len(text):
+            raise SchemeFormatError(len(text.splitlines()) or 1, "missing header line '<rows> <cols>'")
+        start = brk.end()
+        line += 1
 
     parts = header.split()
     if len(parts) != 2:
-        raise SchemeFormatError(header_line, f"header must be '<rows> <cols>', got {header!r}")
+        raise SchemeFormatError(line, f"header must be '<rows> <cols>', got {header!r}")
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
-        raise SchemeFormatError(header_line, f"header must be two integers, got {header!r}") from None
+        raise SchemeFormatError(line, f"header must be two integers, got {header!r}") from None
     if n < 1 or m < 1:
-        raise SchemeFormatError(header_line, f"dimensions must be positive, got {n}x{m}")
+        raise SchemeFormatError(line, f"dimensions must be positive, got {n}x{m}")
 
-    masks: list[int] = []
+    body = brk.end()
+    M = _read_body(text, body, n, m)
+    if M is not None:
+        return M
+    lines = text[body:].splitlines()
     digits: list[str] = []
-    width = 2 * m - 1
-    for idx in range(body_start, len(lines)):
-        stripped = lines[idx].strip()
+    for idx, raw in enumerate(lines, line + 1):
+        stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        # A row as format_scheme writes it (m digits 0 or 1 at the even
-        # positions, one " " between them) is read by slicing; any other
-        # line, malformed or not, is tokenised.  Only counts of the line
-        # itself are compared with m, so a huge header m allocates nothing.
-        bits = stripped[::2]
-        if not (
-            len(stripped) == width
-            and stripped.count(" ") == m - 1
-            and bits.count("0") + bits.count("1") == m
-        ):
-            tokens = stripped.split()
-            if len(tokens) != m:
-                raise SchemeFormatError(idx + 1, f"expected {m} entries, got {len(tokens)}")
-            bits = "".join(tokens)
-            # m tokens joined into m digits 0 or 1 means every token is "0" or "1".
-            if len(bits) != m or bits.count("0") + bits.count("1") != m:
-                bad = next(tok for tok in tokens if tok not in ("0", "1"))
-                raise SchemeFormatError(idx + 1, f"entry {bad!r} not binary")
+        if len(digits) == n:
+            raise SchemeFormatError(idx, "trailing data after last row")
+        # Only counts of the line itself are compared with m, so a huge
+        # header m allocates nothing.
+        tokens = stripped.split()
+        if len(tokens) != m:
+            raise SchemeFormatError(idx, f"expected {m} entries, got {len(tokens)}")
+        bits = "".join(tokens)
+        # m tokens joined into m digits 0 or 1 means every token is "0" or "1".
+        if len(bits) != m or bits.count("0") + bits.count("1") != m:
+            bad = next(tok for tok in tokens if tok not in ("0", "1"))
+            raise SchemeFormatError(idx, f"entry {bad!r} not binary")
         digits.append(bits)
-        masks.append(int(bits[::-1], 2))
-        if len(masks) == n:
-            # Anything non-blank after the last row is a format error.
-            for later in range(idx + 1, len(lines)):
-                tail = lines[later].strip()
-                if tail and not tail.startswith("#"):
-                    raise SchemeFormatError(later + 1, "trailing data after last row")
-            break
-    if len(masks) != n:
-        raise SchemeFormatError(len(lines) or 1, f"expected {n} rows, got {len(masks)}")
-    return BinaryScheme._from_masks(tuple(masks), m, _text_columns("".join(digits)[::-1], m))
+    if len(digits) != n:
+        raise SchemeFormatError(line + len(lines), f"expected {n} rows, got {len(digits)}")
+    return _from_digits("".join(digits)[::-1], m)
 
 
-def _read_canonical(text: str) -> BinaryScheme | None:
-    """Read text in format_scheme's exact shape in one pass, else None.
+def _read_body(text: str, body: int, n: int, m: int) -> BinaryScheme | None:
+    """Read text[body:] in one pass if it is n rows as format_scheme writes them, else None.
 
-    The shape is: lines starting with '#', then '<n> <m>' in ASCII
-    digits, then n rows of m digits 0 or 1 with one " " between them,
-    every line ending in "\n".  Anything else, well formed or not, is
-    left to the line parser, so every SchemeFormatError comes from there.
+    Such a row is m digits 0 or 1 with one " " between them and "\n"
+    after the last.  Any other body, well formed or not, is left to the
+    line parser, so every SchemeFormatError comes from there.
     """
-    start = 0
-    while text.startswith("#", start):
-        start = text.find("\n", start) + 1
-        if not start:
-            return None
-    end = text.find("\n", start)
-    n_text, space, m_text = text[start:end].partition(" ")
-    if not (
-        end > 0
-        and space
-        and n_text.isascii() and n_text.isdigit()
-        and m_text.isascii() and m_text.isdigit()
-        and not _LINE_BREAK.search(text, 0, end)
-    ):
-        return None
-    try:
-        n, m = int(n_text), int(m_text)
-    except ValueError:  # more digits than int converts
-        return None
     # The length is checked first, so an absurd header allocates nothing.
-    if n < 1 or m < 1 or len(text) - end - 1 != 2 * n * m:
+    if len(text) - body != 2 * n * m or text[body + 1 :: 2] != (" " * (m - 1) + "\n") * n:
         return None
-    if text[end + 2 :: 2] != (" " * (m - 1) + "\n") * n:
-        return None
-    # Every digit once, last first: row i is a run of m, column j every m-th.
-    r = text[-2:end:-2]
+    # Every digit once, last first.
+    r = text[-2 : body - 1 : -2]
     if r.count("0") + r.count("1") != n * m:
         return None
+    return _from_digits(r, m)
+
+
+def _from_digits(r: str, m: int) -> BinaryScheme:
+    """The scheme whose digits, row after row with m to a row, are r reversed.
+
+    In r, row i is the run of m digits ending m*i digits from the end,
+    its mask in binary, highest bit first.
+    """
     return BinaryScheme._from_masks(
-        tuple(int(r[i : i + m], 2) for i in range((n - 1) * m, -1, -m)),
+        tuple(int(r[i : i + m], 2) for i in range(len(r) - m, -1, -m)),
         m,
         _text_columns(r, m),
     )
@@ -353,19 +324,11 @@ def format_scheme(M: BinaryScheme, comment: str | None = None) -> str:
 
 def uniformity(M: BinaryScheme) -> UniformityReport:
     """Report whether every column sums to one constant k and every row to one constant l."""
-    sums = _common_sums(M)
-    if sums is None:
-        return UniformityReport(False, None, None)
-    return UniformityReport(True, *sums)
-
-
-def _common_sums(M: BinaryScheme) -> tuple[int, int] | None:
-    """(k, l) when every column sums to k and every row to l, else None."""
     ks = set(map(int.bit_count, M.col_masks))
     ls = set(map(int.bit_count, M.masks))
     if len(ks) == 1 and len(ls) == 1:
-        return ks.pop(), ls.pop()
-    return None
+        return UniformityReport(True, ks.pop(), ls.pop())
+    return UniformityReport(False, None, None)
 
 
 def prefix_sums(M: BinaryScheme) -> PrefixSums:

@@ -1,4 +1,5 @@
 import io
+import os
 import random
 import subprocess
 import sys
@@ -470,6 +471,30 @@ def test_closed_output_pipe_is_not_an_error():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (0, "")
+
+
+@pytest.mark.parametrize("command", ["check", "sim", "stats", "reduce"])
+def test_a_closed_stdin_is_refused_as_bad_input(monkeypatch, tmp_path, command):
+    # An interpreter started with fd 0 closed has sys.stdin None.
+    monkeypatch.setattr(sys, "stdin", None)
+    argv = [command, "-"]
+    if command == "reduce":
+        argv += ["-o", str(tmp_path / "out.mat")]
+    assert invoke(*argv) == (2, "", "error: cannot read stdin: it is closed\n")
+
+
+def test_check_with_fd_0_closed_exits_2():
+    proc = subprocess.run(
+        [sys.executable, "-m", "bikerelay.cli", "check", "-"],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: os.close(0),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2,
+        "",
+        "error: cannot read stdin: it is closed\n",
+    )
 
 
 @st.composite

@@ -38,7 +38,6 @@ from bikerelay import (
 )
 from bikerelay import scheme
 from bikerelay.cli import run
-from bikerelay.scheme import _read_canonical
 
 
 def reference_parse(text):
@@ -374,14 +373,20 @@ MUTATIONS = [
 ]
 
 
+# Mutations of the header line alone leave a body the one-pass reader takes.
+HEADER_MUTATIONS = {"tab in the header", "space before the header"}
+
+
 def one_mutation_texts():
     for comment in (None, "a", "a\nb", ""):
         text = format_scheme(ONE_PASS_SCHEME, comment)
         for name, mutate in MUTATIONS:
-            yield pytest.param(mutate(text), id=f"{name}, comment {comment!r}")
+            yield pytest.param(
+                mutate(text), name in HEADER_MUTATIONS, id=f"{name}, comment {comment!r}"
+            )
     # A header of 10**24 entries: neither parser may build anything that size.
-    yield pytest.param("# c\n1000000000000 1000000000000\n0 1\n", id="absurd header")
-    yield pytest.param("9" * 5000 + " 1\n1\n", id="header past int's digit limit")
+    yield pytest.param("# c\n1000000000000 1000000000000\n0 1\n", False, id="absurd header")
+    yield pytest.param("9" * 5000 + " 1\n1\n", False, id="header past int's digit limit")
 
 
 def assert_same_outcome(text):
@@ -392,10 +397,59 @@ def assert_same_outcome(text):
         assert got.rows == want.rows and got.col_masks == want.col_masks
 
 
-@pytest.mark.parametrize("text", one_mutation_texts())
-def test_the_one_pass_reader_leaves_each_mutation_to_the_line_parser(text):
-    assert _read_canonical(text) is None
+@pytest.fixture
+def one_pass_reads(monkeypatch):
+    """What each call of the one-pass reader returned, in order."""
+    reads = []
+    read_body = scheme._read_body
+
+    def spy(*args):
+        reads.append(read_body(*args))
+        return reads[-1]
+
+    monkeypatch.setattr(scheme, "_read_body", spy)
+    return reads
+
+
+def assert_read_in_one_pass(text, reads):
+    # Falling back to the line parser would give the same schemes, only
+    # slower, so the parse must return the one-pass reader's own result.
+    got = parse_scheme(text)
+    assert got is reads[-1]
+    want = reference_parse(text)
+    assert got == want
+    assert got.rows == want.rows and got.col_masks == want.col_masks
+
+
+@pytest.mark.parametrize("text, in_one_pass", one_mutation_texts())
+def test_the_one_pass_reader_leaves_each_mutation_to_the_line_parser(
+    text, in_one_pass, one_pass_reads
+):
     assert_same_outcome(text)
+    if in_one_pass:
+        assert_read_in_one_pass(text, one_pass_reads)
+    else:
+        assert all(M is None for M in one_pass_reads)
+
+
+HEADERS = [
+    ("tab", "3\t4\n"),
+    ("runs of spaces", "3    4\n"),
+    ("leading and trailing spaces", "  3 4   \n"),
+    ("blank and indented # lines before it", "\n   \n  # indented\n\t#\n3 4\n"),
+    *((f"ended by {ch!r}", f"3 4{ch}") for ch in (*LINE_BREAKS, "\r\n")),
+]
+
+
+@pytest.mark.parametrize("comment", [None, "a", "a\nb"])
+@pytest.mark.parametrize("header", [h for _, h in HEADERS], ids=[name for name, _ in HEADERS])
+def test_the_one_pass_reader_takes_every_header_the_grammar_accepts(
+    header, comment, one_pass_reads
+):
+    text = format_scheme(ONE_PASS_SCHEME, comment)
+    text = text[: header_at(text)] + header + text[body_at(text) :]
+    assert_read_in_one_pass(text, one_pass_reads)
+    assert one_pass_reads[-1] == ONE_PASS_SCHEME
 
 
 @st.composite
@@ -414,34 +468,17 @@ def test_parse_equals_the_token_parser_on_damaged_formatted_text(text):
 
 
 def test_parse_scheme_reads_what_format_scheme_writes_in_one_pass(
-    fixtures_dir, tmp_path, monkeypatch
+    fixtures_dir, tmp_path, one_pass_reads
 ):
-    # Falling back to the line parser would give the same schemes, only
-    # slower, so each parse must return the one-pass reader's own result.
-    read = []
-
-    def spy(text):
-        read.append(_read_canonical(text))
-        return read[-1]
-
-    monkeypatch.setattr(scheme, "_read_canonical", spy)
-
-    def assert_read_in_one_pass(text):
-        got = parse_scheme(text)
-        assert got is read[-1]
-        want = reference_parse(text)
-        assert got == want
-        assert got.rows == want.rows and got.col_masks == want.col_masks
-
     M = transpose_cyclic_matrix(11, 7)
     for comment in (None, "a comment\nof two lines", "\n#\n"):
-        assert_read_in_one_pass(format_scheme(M, comment))
+        assert_read_in_one_pass(format_scheme(M, comment), one_pass_reads)
     reduced = tmp_path / "reduced.mat"
     with redirect_stdout(io.StringIO()):
         assert run(["reduce", str(fixtures_dir / "split_riders.mat"), "-o", str(reduced)]) == 0
     # Every fixture is written in format_scheme's shape.
     for path in [reduced, *sorted(fixtures_dir.glob("*.mat"))]:
-        assert_read_in_one_pass(path.read_text(encoding="utf-8"))
+        assert_read_in_one_pass(path.read_text(encoding="utf-8"), one_pass_reads)
 
 
 schemes_up_to_64 = st.integers(1, 64).flatmap(
