@@ -54,14 +54,6 @@ from .simulate import (
     write_trace_csv,
 )
 
-_TIE_ORDERS = {
-    "drop-first": TieOrder.DROP_FIRST,
-    "take-first": TieOrder.TAKE_FIRST,
-    "thm37": TieOrder.DROP_FIRST,
-    "def33": TieOrder.TAKE_FIRST,
-}
-
-
 def _bool(v: bool) -> str:
     return "true" if v else "false"
 
@@ -145,8 +137,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     M = _read_scheme(args.file)
-    tie_order = _TIE_ORDERS[args.tie_order]
-    verdict = decide_optimal(M, use_skip_rule=not args.no_skip_rule, tie_order=tie_order)
+    tie_order = TieOrder(args.tie_order)
+    verdict = decide_optimal(M, tie_order)
     pairs = [("optimal", _bool(verdict.optimal)), ("reason", verdict.reason)]
     if verdict.k is not None:
         pairs.append(("k", verdict.k))
@@ -240,7 +232,7 @@ def _cmd_enum(args) -> int:
     if args.max_examples < 0:
         raise ValueError(f"max_examples must be at least 0, not {args.max_examples}")
     if args.cross_validate:
-        mismatches = len(cross_validate(args.n, args.k, force=args.force))
+        mismatches = len(cross_validate(args.n, args.k))
     report = enumerate_uniform(args.n, args.k, max_examples=args.max_examples)
     pairs = [
         ("n", report.n),
@@ -293,13 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="decide optimality of a scheme file")
     p.add_argument("file", help="matrix file, or - for stdin")
-    p.add_argument("--no-skip-rule", action="store_true",
-                   help="scan every boundary instead of provably fine ones")
     p.add_argument("--witness", action="store_true",
                    help="also print the failing rows or a full handover plan")
     p.add_argument("--tie-order", default="drop-first",
-                   choices=sorted(_TIE_ORDERS),
-                   metavar="{drop-first,take-first}",
+                   choices=[o.value for o in TieOrder],
                    help="rank order for equal ride counts (default drop-first)")
     p.set_defaults(func=_cmd_check)
 
@@ -333,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="execute every matrix and compare with the word verdict")
     p.add_argument("--max-examples", type=int, default=4,
                    help="cap on non-optimal examples to print (default 4)")
-    p.add_argument("--force", action="store_true",
-                   help="let --cross-validate list every matrix beyond n = 7")
     p.set_defaults(func=_cmd_enum)
 
     p = sub.add_parser("det", parents=[common],

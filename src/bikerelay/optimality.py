@@ -241,15 +241,12 @@ def _is_dyck_at(drop: int, take: int, slices: list[int], take_first: bool) -> bo
     return True
 
 
-def _scanned_boundaries(l: int, m: int, use_skip_rule: bool) -> range:
-    """The boundaries whose words decide a uniform scheme with row sum l.
+def _scanned_boundaries(l: int, m: int) -> range:
+    """The boundaries whose drop-first words decide a uniform scheme with row sum l.
 
-    Without the skip rule that is every boundary 0..m-2.  With it,
-    boundaries 0, 1, m-3, m-2 are left out, and so is everything when
+    Boundaries 0, 1, m-3, m-2 are left out, and so is everything when
     l <= 2 or l >= m-2 (every word is then forced to be Dyck).
     """
-    if not use_skip_rule:
-        return range(max(m - 1, 0))
     if l <= 2 or l >= m - 2:
         return range(0)
     # The two outermost boundaries at each end are Dyck for every
@@ -262,9 +259,7 @@ def _scanned_boundaries(l: int, m: int, use_skip_rule: bool) -> range:
 
 
 def decide_optimal(
-    M: BinaryScheme,
-    use_skip_rule: bool = True,
-    tie_order: TieOrder = TieOrder.DROP_FIRST,
+    M: BinaryScheme, tie_order: TieOrder = TieOrder.DROP_FIRST
 ) -> Verdict:
     """Decide whether a scheme admits a stall-free execution.
 
@@ -277,17 +272,17 @@ def decide_optimal(
     far are kept as bit slices.  The word itself is built only for the
     failing boundary.
 
-    With use_skip_rule and DROP_FIRST, boundaries 0, 1, m-3, m-2 are
-    not scanned and the whole scan is dropped when the common row sum l
-    satisfies l <= 2 or l >= m-2 (see _scanned_boundaries); the verdict
-    is identical with and without the flag.  TAKE_FIRST always scans
-    every boundary, since ties can break those words.
+    Under DROP_FIRST, boundaries 0, 1, m-3, m-2 are not scanned and the
+    whole scan is dropped when the common row sum l satisfies l <= 2 or
+    l >= m-2 (see _scanned_boundaries): those words are Dyck for every
+    uniform scheme.  TAKE_FIRST scans every boundary, since ties can
+    break those words.
     """
     uni = uniformity(M)
     if not uni.is_uniform:
         return Verdict(False, None, "not-uniform")
     take_first = tie_order is TieOrder.TAKE_FIRST
-    scanned = _scanned_boundaries(uni.l, M.m, use_skip_rule and not take_first)
+    scanned = range(M.m - 1) if take_first else _scanned_boundaries(uni.l, M.m)
     cols = M.col_masks
     slices: list[int] = []
     for b in range(scanned.stop):

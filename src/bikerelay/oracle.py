@@ -63,7 +63,6 @@ def enumerate_uniform(
     k: int,
     visitor: Callable[[BinaryScheme, bool], None] | None = None,
     *,
-    force: bool = False,
     max_examples: int = 4,
 ) -> EnumerationReport:
     """Census of the n x n binary matrices whose rows and columns all sum to k.
@@ -87,18 +86,18 @@ def enumerate_uniform(
     non-optimal matrices in the order the visitor would see them.
 
     Counting alone is never refused.  Listing the matrices one by one
-    to a visitor is refused beyond n = EXHAUSTIVE_GUARD unless
-    force=True.
+    to a visitor is refused beyond n = EXHAUSTIVE_GUARD: past it, every
+    k with a non-optimal matrix (3 <= k <= n-3, where a boundary is
+    scanned) has billions of matrices to list.
 
     Raises:
         ValueError: k out of range, a negative max_examples, or a
-            visitor with n beyond the exhaustive guard and no
-            force=True.
+            visitor with n beyond the exhaustive guard.
     """
-    return _descend(n, k, visitor, force, max_examples, probe=False)
+    return _descend(n, k, visitor, max_examples, probe=False)
 
 
-def cross_validate(n: int, k: int, *, force: bool = False) -> list[Mismatch]:
+def cross_validate(n: int, k: int) -> list[Mismatch]:
     """Compare the word verdict with greedy execution over all (n, k) matrices.
 
     Every uniform matrix is tested for a first-come run with no stall,
@@ -120,7 +119,7 @@ def cross_validate(n: int, k: int, *, force: bool = False) -> list[Mismatch]:
         stall_free = tuple(_execute(M, walk, ride) for walk, ride in ticks)
         mismatches.append(Mismatch(M, ok, stall_free))
 
-    _descend(n, k, execute, force, 0, probe=True)
+    _descend(n, k, execute, 0, probe=True)
     return mismatches
 
 
@@ -128,7 +127,6 @@ def _descend(
     n: int,
     k: int,
     visitor: Callable[[BinaryScheme, bool], None] | None,
-    force: bool,
     max_examples: int,
     probe: bool,
 ) -> EnumerationReport:
@@ -159,12 +157,12 @@ def _descend(
         raise ValueError(f"bad parameters n={n}, k={k}")
     if max_examples < 0:
         raise ValueError(f"max_examples must be at least 0, not {max_examples}")
-    if visitor is not None and n > EXHAUSTIVE_GUARD and not force:
+    if visitor is not None and n > EXHAUSTIVE_GUARD:
         raise ValueError(
             f"listing every matrix at n={n} is enormous; "
-            "pass force=True (--force on the command line) to insist"
+            f"the limit is n={EXHAUSTIVE_GUARD}"
         )
-    scanned = _scanned_boundaries(k, n, True)
+    scanned = _scanned_boundaries(k, n)
     # Every column support as (mask, rows), in lexicographic order.  Two
     # supports that hold the same forced rows first differ outside them,
     # so the ones a node keeps come in the order of their free parts.

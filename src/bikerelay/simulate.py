@@ -120,13 +120,14 @@ def simulate(
         M: the scheme; bicycle count is its first column sum.
         speeds: walking/cycling speeds, walk 1 cycle 2 by default.
         policy: "greedy" or "plan".
-        plan: required for the plan policy.  Its shape (domains,
-            ranges, injectivity, fixed rows) must be right; a plan
-            that merely hands bicycles to faster-ridden travellers is
-            allowed and produces stalls.
+        plan: required for the plan policy and refused by the greedy
+            one.  Its shape (domains, ranges, injectivity, fixed rows)
+            must be right; a plan that merely hands bicycles to
+            faster-ridden travellers is allowed and produces stalls.
 
     Raises:
-        ValueError: unknown policy, or a missing/malformed plan.
+        ValueError: unknown policy, a missing or malformed plan, or a
+            plan given to the greedy policy.
         DeadlockError: a rider's stage has no bicycle supply at all
             (never happens for uniform schemes).
     """
@@ -142,6 +143,8 @@ def simulate(
         givers = [{t: g for g, t in pairs if g != t} for pairs in plan.pairs]
     elif policy != "greedy":
         raise ValueError(f"unknown policy {policy!r}")
+    elif plan is not None:
+        raise ValueError("a plan applies to the plan policy only")
 
     walk, ride, per_unit = _stage_ticks(speeds)
     log = _Log()

@@ -1,9 +1,12 @@
+import argparse
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -157,27 +160,40 @@ def test_check_witness_prints_plan_for_optimal(fixtures_dir):
     assert "plan_boundary_3: 0->3 1->4 2->5" in out
 
 
-def test_check_tie_order_aliases(fixtures_dir):
+def test_check_tie_order(fixtures_dir):
     path = str(fixtures_dir / "tie_order_split.mat")
-    for flag in ("drop-first", "thm37"):
-        code, out, _ = invoke("check", path, "--tie-order", flag)
-        assert code == 0, flag
-    for flag in ("take-first", "def33"):
-        code, out, _ = invoke("check", path, "--tie-order", flag)
-        assert code == 1, flag
-        assert "failing_word: abbbaa" in out
+    code, out, _ = invoke("check", path, "--tie-order", "drop-first")
+    assert code == 0
+    code, out, _ = invoke("check", path, "--tie-order", "take-first")
+    assert code == 1
+    assert "failing_word: abbbaa" in out
 
 
-def test_check_no_skip_rule_same_verdict(fixtures_dir):
-    for name, tie_order in (
-        ("split_riders_swapped.mat", "drop-first"),
-        ("take_first_outer_tie.mat", "take-first"),
-    ):
-        path = str(fixtures_dir / name)
-        a = invoke("check", path, "--tie-order", tie_order)
-        b = invoke("check", path, "--tie-order", tie_order, "--no-skip-rule")
-        assert a[0] == b[0] == 1, name
-        assert a[1] == b[1], name
+def test_check_take_first_scans_the_outer_boundaries(fixtures_dir):
+    # Drop-first never scans boundary index 1 here; take-first must,
+    # since a tie there puts the taker first.
+    path = str(fixtures_dir / "take_first_outer_tie.mat")
+    assert invoke("check", path, "--porcelain")[0] == 0
+    code, out, _ = invoke("check", path, "--tie-order", "take-first", "--porcelain")
+    assert code == 1
+    assert out.endswith("failing_boundary_index: 1\nfailing_word: ba\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--no-skip-rule"),
+        ("check", "--tie-order", "thm37"),
+        ("check", "--tie-order", "def33"),
+        ("enum", "--n", "4", "--k", "2", "--force"),
+    ],
+)
+def test_retired_options_are_usage_errors(fixtures_dir, argv):
+    if argv[0] == "check":
+        argv = (argv[0], str(fixtures_dir / "split_riders.mat"), *argv[1:])
+    code, out, err = invoke(*argv)
+    assert (code, out) == (2, "")
+    assert "usage: bikerelay" in err
 
 
 def test_porcelain_is_flat_and_stable(fixtures_dir):
@@ -343,14 +359,16 @@ def test_cross_validation_reports_a_planted_mismatch(monkeypatch):
             assert not is_executable_without_stall(m.scheme, SpeedModel(1, ratio))
 
 
-def test_enum_guard_without_force():
-    # The census counts at any n; only --cross-validate lists matrices.
+def test_enum_guard():
+    # The census counts at any n; only --cross-validate lists matrices,
+    # and it is refused beyond n = 7 whatever k is.
     code, out, err = invoke("enum", "--n", "9", "--k", "2", "--porcelain")
     assert code == 0 and err == ""
     assert out.startswith("n: 9\nk: 2\ntotal_uniform: 14398171200\n")
-    code, out, err = invoke("enum", "--n", "9", "--k", "2", "--cross-validate")
-    assert (code, out) == (2, "") and "error: listing every matrix" in err
-    assert "--force" in err
+    for n, k in (("9", "2"), ("8", "1")):
+        code, out, err = invoke("enum", "--n", n, "--k", k, "--cross-validate")
+        assert (code, out) == (2, "") and "error: listing every matrix" in err
+        assert "the limit is n=7" in err
 
 
 def test_enum_negative_max_examples_is_a_usage_error():
@@ -534,3 +552,32 @@ def test_file_commands_exit_0_1_or_2_on_any_text(tmp_path, text):
 
 def test_build_parser_returns_a_new_parser():
     assert build_parser() is not build_parser()
+
+
+def _readme_synopsis():
+    """The README's `## Command line` synopsis as {command: options it names}."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    synopsis = {}
+    for line in block.splitlines():
+        _, command, rest = line.split(None, 2)
+        synopsis[command] = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", rest))
+    return synopsis
+
+
+def test_readme_synopsis_matches_the_parser():
+    [subparsers] = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    synopsis = _readme_synopsis()
+    assert set(synopsis) == set(subparsers.choices)
+    for command, parser in subparsers.choices.items():
+        named = synopsis[command]
+        known = {s for a in parser._actions for s in a.option_strings}
+        assert named <= known, (command, named - known)
+        for action in parser._actions:
+            flags = set(action.option_strings)
+            if not flags or flags & {"-h", "--porcelain"}:
+                continue
+            assert flags & named, (command, action.option_strings)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from bikerelay import (
     AssignmentPlan,
     BinaryScheme,
+    SpeedModel,
     TieOrder,
     Verdict,
     bicycle_itineraries,
@@ -32,6 +34,7 @@ from bikerelay import (
     uniformity,
     verify_plan,
 )
+from bikerelay.oracle import DEFAULT_SPEED_RATIOS
 
 
 def reference_word_letters(M, table, b, tie_order):
@@ -54,7 +57,12 @@ def reference_word_letters(M, table, b, tie_order):
 
 
 def reference_decide(M, use_skip_rule=True, tie_order=TieOrder.DROP_FIRST):
-    """The list scan: prefix table, then every boundary word sorted and walked."""
+    """The list scan: prefix table, then every boundary word sorted and walked.
+
+    With use_skip_rule and DROP_FIRST, the boundaries decide_optimal
+    leaves out are left out here too; without it every boundary is
+    scanned, which is the definition the skip rule must agree with.
+    """
     uni = uniformity(M)
     if not uni.is_uniform:
         return Verdict(False, None, "not-uniform")
@@ -81,13 +89,12 @@ def reference_decide(M, use_skip_rule=True, tie_order=TieOrder.DROP_FIRST):
     return Verdict(True, uni.k, "optimal")
 
 
-SETTINGS = [(skip, order) for skip in (True, False) for order in TieOrder]
-
-
 def assert_same_verdicts(M):
-    for skip, order in SETTINGS:
-        got = decide_optimal(M, use_skip_rule=skip, tie_order=order)
-        assert got == reference_decide(M, skip, order), (M.rows, skip, order)
+    # decide_optimal equals the list scan with and without the skip rule.
+    for order in TieOrder:
+        got = decide_optimal(M, order)
+        for skip in (True, False):
+            assert got == reference_decide(M, skip, order), (M.rows, skip, order)
 
 
 @pytest.mark.parametrize(
@@ -152,11 +159,11 @@ def test_skip_rule_changes_nothing_small():
     diffs = []
 
     def visit(M, optimal):
-        if decide_optimal(M, use_skip_rule=False).optimal != optimal:
+        if reference_decide(M, False).optimal != optimal:
             diffs.append((M.rows, "enumerator"))
         for order in TieOrder:
-            full = decide_optimal(M, use_skip_rule=False, tie_order=order)
-            if decide_optimal(M, tie_order=order) != full:
+            full = reference_decide(M, False, order)
+            if decide_optimal(M, order) != full:
                 diffs.append((M.rows, order))
 
     for n in range(1, 6):
@@ -171,7 +178,7 @@ def test_skip_rule_changes_nothing_on_random_samples():
         n = rng.randint(2, 8)
         M = random_uniform(n, rng.randint(0, n), rng)
         a = decide_optimal(M)
-        b = decide_optimal(M, use_skip_rule=False)
+        b = reference_decide(M, False)
         assert (a.optimal, a.failing_boundary) == (b.optimal, b.failing_boundary)
 
 
@@ -180,9 +187,57 @@ def test_skip_rule_sound_on_rectangles():
     # a shortcut keyed to column sums alone would skip the whole scan here.
     R = parse_scheme("4 6\n0 0 1 0 1 1\n1 1 0 1 0 0\n0 0 1 0 1 1\n1 1 0 1 0 0\n")
     a = decide_optimal(R)
-    b = decide_optimal(R, use_skip_rule=False)
+    b = reference_decide(R, False)
     assert not a.optimal and not b.optimal
     assert a.failing_boundary == b.failing_boundary == 2
+
+
+def uniform_rectangles(n, m, l):
+    """Every n x m binary matrix with row sums l and equal column sums, row by row."""
+    k, rem = divmod(n * l, m)
+    if rem:
+        return
+    choices = [tuple(int(c in s) for c in range(m)) for s in combinations(range(m), l)]
+
+    def extend(rows, sums):
+        left = n - len(rows)
+        if not left:
+            yield BinaryScheme(rows)
+            return
+        for row in choices:
+            new = [s + x for s, x in zip(sums, row)]
+            # Each column can still reach k with the rows left after this one.
+            if all(k - left + 1 <= s <= k for s in new):
+                yield from extend(rows + [row], new)
+
+    yield from extend([], [0] * m)
+
+
+def test_skip_rule_sound_on_every_small_uniform_rectangle():
+    # Off the square, non-optimal schemes appear at 2 x 6 already, far
+    # below the (6,3) where square ones start.  Every uniform n x m with
+    # n <= 4, m <= 8 and n*m <= 24: decide_optimal equals the list scan
+    # under both tie orders, and the drop-first verdict equals the greedy
+    # run at every speed ratio.
+    speeds = [SpeedModel(1, r) for r in DEFAULT_SPEED_RATIOS]
+    census = {}
+    for n in range(1, 5):
+        for m in range(1, min(8, 24 // n) + 1):
+            for l in range(m + 1):
+                total = optimal = 0
+                for M in uniform_rectangles(n, m, l):
+                    assert_same_verdicts(M)
+                    ok = decide_optimal(M).optimal
+                    for speed in speeds:
+                        assert is_executable_without_stall(M, speed) is ok, M.rows
+                    total += 1
+                    optimal += ok
+                if total:
+                    census[n, m, l] = total, optimal
+    assert sum(total for total, _ in census.values()) == 2354
+    assert census[2, 6, 3] == (20, 18)
+    assert census[2, 8, 4] == (70, 54)
+    assert census[4, 6, 3] == (1860, 1758)
 
 
 def test_tie_order_divergence(tie_order_split):
@@ -366,7 +421,7 @@ def test_decision_equals_the_list_scan_on_every_uniform_5x5():
 
     def visit(M, optimal):
         assert_same_verdicts(M)
-        full = decide_optimal(M, use_skip_rule=False, tie_order=TieOrder.TAKE_FIRST)
+        full = reference_decide(M, False, TieOrder.TAKE_FIRST)
         take_first_rejects.append(not full.optimal)
 
     for k in (2, 3):

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from itertools import combinations
+from operator import gt
 
 import pytest
 from hypothesis import example, given, settings
@@ -88,6 +89,29 @@ def reference_enumerate(n, k, visitor=None, *, max_examples=4):
     )
 
 
+def full_scan(M):
+    """Whether every drop-first word of a uniform M is Dyck, every boundary scanned.
+
+    Droppers precede takers on equal ride counts, so the word is Dyck
+    iff the rth highest ride count among the takers is at most the rth
+    highest among the droppers, for every r (a uniform boundary has as
+    many of each).
+    """
+    rides = [0] * M.n
+    cols = list(zip(*M.rows))
+    for first, second in zip(cols, cols[1:]):
+        drop, take = [], []
+        for i, (x, y) in enumerate(zip(first, second)):
+            rides[i] += x
+            if x != y:
+                (drop if x else take).append(rides[i])
+        drop.sort()
+        take.sort()
+        if any(map(gt, take, drop)):
+            return False
+    return True
+
+
 MAX_EXAMPLES = (0, 1, 4, 50)
 
 
@@ -127,9 +151,9 @@ def test_enumeration_equals_the_per_leaf_reference_up_to_n5():
 def test_enumeration_equals_the_per_leaf_reference_at_n6(k):
     seen = assert_enumeration_equals_reference(6, k, (4,))
     if k == 3:
-        # The prefix verdict also equals the full scan without the skip rule.
+        # The prefix verdict also equals a scan of every boundary.
         assert sum(not ok for _, ok in seen) == 9560
-        assert all(ok == decide_optimal(M, use_skip_rule=False).optimal for M, ok in seen)
+        assert all(ok == full_scan(M) for M, ok in seen)
 
 
 def test_enumeration_counts_settled_prefixes_to_the_known_census():
@@ -202,8 +226,8 @@ def test_enumeration_guard():
     with pytest.raises(ValueError, match="listing every matrix"):
         cross_validate(8, 4)
     assert seen == []
-    rep = enumerate_uniform(2, 1, lambda M, ok: seen.append(M), force=True)
-    assert rep.total_uniform == len(seen) == 2
+    rep = enumerate_uniform(7, 1, lambda M, ok: seen.append(M))
+    assert rep.total_uniform == len(seen) == 5040
 
 
 def test_negative_max_examples_is_refused():
@@ -294,7 +318,7 @@ def test_the_probe_descent_reports_the_census():
         for k in range(n + 1):
             for e in (0, 1, 4):
                 shown = []
-                rep = oracle._descend(n, k, lambda M, ok: shown.append(M), False, e, probe=True)
+                rep = oracle._descend(n, k, lambda M, ok: shown.append(M), e, probe=True)
                 assert rep == enumerate_uniform(n, k, max_examples=e), (n, k, e)
                 assert shown == [], (n, k, e)
 
@@ -307,7 +331,7 @@ def test_the_probe_alone_finds_every_stall_in_order(monkeypatch):
     stalling = enumerate_uniform(6, 3, max_examples=10_000).minimal_nonoptimal_examples
     monkeypatch.setattr(oracle, "_is_dyck_at", lambda *args: True)
     shown = []
-    rep = oracle._descend(6, 3, lambda M, ok: shown.append((M, ok)), False, 0, probe=True)
+    rep = oracle._descend(6, 3, lambda M, ok: shown.append((M, ok)), 0, probe=True)
     assert rep == EnumerationReport(6, 3, 297_200, 297_200, 0)
     assert len(shown) == 9560
     assert shown == [(M, True) for M in stalling]

@@ -511,6 +511,15 @@ def test_plan_policy_requires_a_plan(split_riders):
         simulate(split_riders, HALF, policy="nonsense")
 
 
+def test_greedy_policy_refuses_a_plan(split_riders):
+    # The greedy run ignores any plan, so a plan given to it is a mistake.
+    P = build_assignment_plan(split_riders)
+    with pytest.raises(ValueError, match="plan policy only"):
+        simulate(split_riders, HALF, plan=P)
+    with pytest.raises(ValueError, match="plan policy only"):
+        simulate(split_riders, HALF, policy="greedy", plan=P)
+
+
 def test_structurally_sound_plan_with_late_bicycles_stalls(split_riders_swapped):
     # The scheme admits no stall-free execution; a plan that is shaped
     # correctly still leaves takers waiting for bicycles in transit.
