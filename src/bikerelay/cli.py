@@ -137,8 +137,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     M = _read_scheme(args.file)
-    tie_order = TieOrder(args.tie_order)
-    verdict = decide_optimal(M, tie_order)
+    verdict = decide_optimal(M, args.tie_order)
     pairs = [("optimal", _bool(verdict.optimal)), ("reason", verdict.reason)]
     if verdict.k is not None:
         pairs.append(("k", verdict.k))
@@ -150,10 +149,10 @@ def _cmd_check(args) -> int:
         pairs.append(("failing_boundary_index", verdict.failing_boundary))
         pairs.append(("failing_word", verdict.failing_word))
         if args.witness:
-            word = canonical_word(M, verdict.failing_boundary, tie_order)
+            word = canonical_word(M, verdict.failing_boundary, args.tie_order)
             pairs.append(("failing_rows", " ".join(map(str, word.rows))))
     elif verdict.optimal and args.witness:
-        plan = build_assignment_plan(M, tie_order)
+        plan = build_assignment_plan(M, args.tie_order)
         for b in range(plan.boundaries):
             line = " ".join(f"{i}->{j}" for i, j in plan.pairs[b])
             pairs.append((f"plan_boundary_{b + 1}", line))

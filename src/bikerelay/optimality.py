@@ -13,7 +13,8 @@ default, DROP_FIRST, places droppers ahead of takers (equal counts
 mean simultaneous arrivals, so the handover is feasible).  The
 alternative TAKE_FIRST order, kept for comparison, is the reverse of
 the ascending melded ranking and puts takers first on ties; it rejects
-some schemes the default accepts.
+some schemes the default accepts.  One Dyck rule serves both: droppers
+first on equal rank, where take-first ranks a taker half a ride ahead.
 
 Assignment plans make the execution explicit: a per-boundary partial
 bijection saying who rides each bicycle next.  A plan is feasible when
@@ -118,34 +119,26 @@ class PlanCheck:
     violation: PlanViolation | None
 
 
-def _word_letters(M: BinaryScheme, b: int, tie_order: TieOrder):
-    """Sorted (ride count, kind, row, letter) entries for boundary b; see canonical_word.
+def _word(M: BinaryScheme, b: int, take_first: bool) -> list[int]:
+    """The rows of boundary b's word in order; see canonical_word.
 
-    kind is 0 for a dropper (letter a) and 1 for a taker (letter b).
+    Drop-first sorts on (-rides, is_taker, row); take-first reverses
+    the last two, as the reverse of the ascending order does.
     """
     first, second = M.col_masks[b], M.col_masks[b + 1]
     stages = (1 << (b + 1)) - 1  # columns 0..b
     masks = M.masks
-    entries = []
-    for i in _mask_rows(first ^ second):
-        s = (masks[i] & stages).bit_count()
-        if first >> i & 1:  # dropper
-            entries.append((s, 0, i, "a"))
-        else:  # taker
-            entries.append((s, 1, i, "b"))
-    if tie_order is TieOrder.DROP_FIRST:
-        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    else:
-        # Reverse of the ascending melded ranking: takers precede
-        # droppers on ties and row order flips inside a tie group.
-        entries.sort(key=lambda e: (e[0], e[1], e[2]), reverse=True)
-    return entries
+    sign = -1 if take_first else 1
+    return sorted(
+        _mask_rows(first ^ second),
+        key=lambda i: (-(masks[i] & stages).bit_count(), sign * (second >> i & 1), sign * i),
+    )
 
 
 def canonical_word(
     M: BinaryScheme,
     boundary: int,
-    tie_order: TieOrder = TieOrder.DROP_FIRST,
+    tie_order: TieOrder | str = TieOrder.DROP_FIRST,
 ) -> CanonicalWord:
     """The boundary word of a uniform scheme.
 
@@ -156,21 +149,21 @@ def canonical_word(
     Args:
         M: a uniform scheme.
         boundary: 0-based, between columns boundary and boundary+1.
-        tie_order: tie-break rule, DROP_FIRST by default.
+        tie_order: a TieOrder or its value string, DROP_FIRST by default.
 
     Raises:
-        ValueError: M is not uniform, or the boundary is out of range.
+        ValueError: tie_order names no TieOrder, M is not uniform, or
+            the boundary is out of range.
     """
+    take_first = TieOrder(tie_order) is TieOrder.TAKE_FIRST
     if not uniformity(M).is_uniform:
         raise ValueError("canonical words are defined for uniform schemes only")
     if not 0 <= boundary <= M.m - 2:
         raise ValueError(f"boundary {boundary} out of range 0..{M.m - 2}")
-    entries = _word_letters(M, boundary, tie_order)
-    return CanonicalWord(
-        boundary,
-        "".join(e[3] for e in entries),
-        tuple(e[2] for e in entries),
-    )
+    rows = _word(M, boundary, take_first)
+    first = M.col_masks[boundary]
+    letters = "".join("a" if first >> i & 1 else "b" for i in rows)
+    return CanonicalWord(boundary, letters, tuple(rows))
 
 
 def is_dyck(w: CanonicalWord | str) -> bool:
@@ -203,13 +196,15 @@ def _add_column(slices: list[int], col: int) -> None:
         slices.append(carry)
 
 
-def _is_dyck_at(drop: int, take: int, slices: list[int], take_first: bool) -> bool:
+def _is_dyck_at(drop: int, take: int, slices: list[int]) -> bool:
     """Whether the word of a boundary with these dropper and taker masks is Dyck.
 
-    The word lists rows by ride count, highest first, so it is Dyck iff
+    slices[t] holds bit t of each row's rank: its ride count, or under
+    take-first 2 * rides + is_taker.  The word lists rows by rank,
+    highest first and droppers first on equal rank, so it is Dyck iff
     the running depth (droppers minus takers) never drops below zero
-    over the groups of equal count.  The groups come from splitting the
-    movers on the count slices, top slice first.  A group is split only
+    over the groups of equal rank.  The groups come from splitting the
+    movers on the slices, top slice first.  A group is split only
     while its order matters: once the depth before it covers all its
     takers, no order inside it can go below zero.
     """
@@ -225,10 +220,7 @@ def _is_dyck_at(drop: int, take: int, slices: list[int], take_first: bool) -> bo
         if end < 0:
             return False
         if t == 0:
-            # One ride count: drop-first puts the droppers ahead and the
-            # depth ends at its lowest; take-first starts with the takers.
-            if take_first:
-                return False
+            # One rank: the droppers go ahead, so the depth is lowest at the end.
             depth = end
             continue
         t -= 1
@@ -253,13 +245,13 @@ def _scanned_boundaries(l: int, m: int) -> range:
     # uniform scheme under DROP_FIRST: takers there have ridden at most
     # as much as every dropper, so with droppers first on ties the word
     # sorts as a-block then b-block (and dually at the far end).  Under
-    # TAKE_FIRST a tie puts a taker first, so decide_optimal never
-    # applies the rule there.
+    # TAKE_FIRST a taker ranks half a ride ahead of a tied dropper, so
+    # decide_optimal never applies the rule there.
     return range(2, m - 3)
 
 
 def decide_optimal(
-    M: BinaryScheme, tie_order: TieOrder = TieOrder.DROP_FIRST
+    M: BinaryScheme, tie_order: TieOrder | str = TieOrder.DROP_FIRST
 ) -> Verdict:
     """Decide whether a scheme admits a stall-free execution.
 
@@ -277,11 +269,14 @@ def decide_optimal(
     l >= m-2 (see _scanned_boundaries): those words are Dyck for every
     uniform scheme.  TAKE_FIRST scans every boundary, since ties can
     break those words.
+
+    Raises:
+        ValueError: tie_order names no TieOrder.
     """
+    take_first = TieOrder(tie_order) is TieOrder.TAKE_FIRST
     uni = uniformity(M)
     if not uni.is_uniform:
         return Verdict(False, None, "not-uniform")
-    take_first = tie_order is TieOrder.TAKE_FIRST
     scanned = range(M.m - 1) if take_first else _scanned_boundaries(uni.l, M.m)
     cols = M.col_masks
     slices: list[int] = []
@@ -290,14 +285,15 @@ def decide_optimal(
         _add_column(slices, first)
         if b < scanned.start:
             continue
-        if not _is_dyck_at(first & ~second, second & ~first, slices, take_first):
-            word = "".join(e[3] for e in _word_letters(M, b, tie_order))
+        take = second & ~first
+        if not _is_dyck_at(first & ~second, take, [take, *slices] if take_first else slices):
+            word = "".join("a" if first >> i & 1 else "b" for i in _word(M, b, take_first))
             return Verdict(False, uni.k, "non-dyck", b, word)
     return Verdict(True, uni.k, "optimal")
 
 
 def build_assignment_plan(
-    M: BinaryScheme, tie_order: TieOrder = TieOrder.DROP_FIRST
+    M: BinaryScheme, tie_order: TieOrder | str = TieOrder.DROP_FIRST
 ) -> AssignmentPlan:
     """The canonical feasible plan of an optimal scheme.
 
@@ -307,18 +303,21 @@ def build_assignment_plan(
     so the plan passes verify_plan.
 
     Raises:
-        ValueError: the scheme does not decide optimal.
+        ValueError: tie_order names no TieOrder, or the scheme does not
+            decide optimal under it.
     """
-    verdict = decide_optimal(M, tie_order=tie_order)
+    take_first = TieOrder(tie_order) is TieOrder.TAKE_FIRST
+    verdict = decide_optimal(M, tie_order)
     if not verdict.optimal:
         raise ValueError(f"scheme is not optimal ({verdict.reason})")
     cols = M.col_masks
     maps = []
     for b in range(M.m - 1):
-        entries = _word_letters(M, b, tie_order)
-        droppers = [e[2] for e in entries if e[3] == "a"]
-        takers = [e[2] for e in entries if e[3] == "b"]
-        mp = {i: i for i in _mask_rows(cols[b] & cols[b + 1])}
+        first = cols[b]
+        rows = _word(M, b, take_first)
+        droppers = [i for i in rows if first >> i & 1]
+        takers = [i for i in rows if not first >> i & 1]
+        mp = {i: i for i in _mask_rows(first & cols[b + 1])}
         mp.update(zip(droppers, takers))
         maps.append(mp)
     return AssignmentPlan.from_maps(maps)

@@ -10,7 +10,7 @@ the ride counts, in the same descent and once per column prefix, and
 runs simulate's executor at each speed ratio on the matrices where
 that test and the words disagree; determinants come from fraction-free
 elimination, and the cyclic family's structure claims are verified
-entry by entry.
+on its row and column masks.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def _descend(
                 continue
             child_ok = ok
             if test:
-                child_ok = _is_dyck_at(prev & ~col, col & ~prev, slices, False)
+                child_ok = _is_dyck_at(prev & ~col, col & ~prev, slices)
             child_runs = runs
             if probing:
                 # The first-come test at post j.
@@ -306,18 +306,22 @@ def random_uniform(n: int, k: int, rng: random.Random) -> BinaryScheme:
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"bad parameters n={n}, k={k}")
-    rows = list(cyclic_matrix(n, k).rows)
-    rng.shuffle(rows)
+    shuffled = list(cyclic_matrix(n, k).masks)
+    rng.shuffle(shuffled)
     cols = list(range(n))
     rng.shuffle(cols)
-    a = [[row[c] for c in cols] for row in rows]
+    # Column j of the result is column cols[j] of the row-shuffled matrix.
+    masks = [sum((x >> c & 1) << j for j, c in enumerate(cols)) for x in shuffled]
     for _ in range(n * n):
         i1, i2 = divmod(rng.randrange(n * n), n)
         j1, j2 = divmod(rng.randrange(n * n), n)
-        if a[i1][j1] == a[i2][j2] != a[i1][j2] == a[i2][j1]:
-            a[i1][j1] = a[i2][j2] = 1 - a[i1][j1]
-            a[i1][j2] = a[i2][j1] = 1 - a[i1][j2]
-    return BinaryScheme(a)
+        flip = 1 << j1 | 1 << j2
+        cut = masks[i1] & flip
+        # One 1 in each row of the 2x2 cut, in different columns.
+        if cut and cut != flip and masks[i2] & flip == flip ^ cut:
+            masks[i1] ^= flip
+            masks[i2] ^= flip
+    return BinaryScheme._from_masks(tuple(masks), n)
 
 
 def determinant_exact(M: BinaryScheme) -> int:
@@ -388,42 +392,34 @@ def verify_cyclic_structure(n: int, k: int) -> CyclicStructureReport:
     M = cyclic_matrix(n, k)
     d = gcd(n, k)
     n_p, k_p = n // d, k // d
-    rows = M.rows
-    cols = list(zip(*rows))
+    rows, cols = M.masks, M.col_masks
 
-    row_classes_ok = all(
-        (rows[i] == rows[j]) == (i % n_p == j % n_p)
-        for i in range(n)
-        for j in range(i + 1, n)
+    # Equal exactly within classes: each line equals its class's first,
+    # and the firsts are distinct.
+    row_classes_ok = (
+        all(rows[i] == rows[i % n_p] for i in range(n))
+        and len(set(rows[:n_p])) == n_p
     )
-    column_blocks_ok = all(
-        (cols[p] == cols[q]) == (p // d == q // d)
-        for p in range(n)
-        for q in range(p + 1, n)
+    column_blocks_ok = (
+        all(cols[p] == cols[p - p % d] for p in range(n))
+        and len(set(cols[::d])) == n_p
     )
 
-    quotient_ok = True
-    quotient = []
-    for cls in range(n_p):
-        class_rows = [rows[i] for i in range(n) if i % n_p == cls]
-        qrow = []
-        for block in range(n_p):
-            cell = {
-                row[c] for row in class_rows for c in range(block * d, block * d + d)
-            }
-            if len(cell) != 1:
-                quotient_ok = False
-                cell = {0}
-            qrow.append(cell.pop())
-        quotient.append(tuple(qrow))
-    if quotient_ok:
-        quotient_ok = tuple(quotient) == cyclic_matrix(n_p, k_p).rows
+    # Each row is its class's quotient row with every entry read as a
+    # d-bit field of equal bits, so every quotient cell is constant.
+    field = (1 << d) - 1
+    quotient = [
+        sum((q >> b & 1) * field << b * d for b in range(n_p))
+        for q in cyclic_matrix(n_p, k_p).masks
+    ]
+    quotient_ok = all(rows[i] == quotient[i % n_p] for i in range(n))
 
+    # Column j is column 0 rotated down by (j // d) * rotation_offset rows.
     rotation_offset = 0 if n_p == 1 else pow(k_p, -1, n_p)
+    doubled = cols[0] << n | cols[0]
     rotation_ok = all(
-        cols[j][(i + (j // d) * rotation_offset) % n] == cols[0][i]
+        cols[j] == doubled >> (n - j // d * rotation_offset % n) & (1 << n) - 1
         for j in range(n)
-        for i in range(n)
     )
     return CyclicStructureReport(
         n=n,

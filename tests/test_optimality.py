@@ -250,6 +250,24 @@ def test_tie_order_divergence(tie_order_split):
     assert is_executable_without_stall(tie_order_split)
 
 
+def test_tie_order_is_read_the_same_way_everywhere(tie_order_split):
+    # The enum and its value string mean the same order in every public
+    # entry, and any other value is refused, even for a non-uniform scheme.
+    M = tie_order_split
+    for order in TieOrder:
+        assert decide_optimal(M, order.value) == decide_optimal(M, order)
+        for b in range(M.m - 1):
+            assert canonical_word(M, b, order.value) == canonical_word(M, b, order)
+    assert build_assignment_plan(M, "drop-first") == build_assignment_plan(M, TieOrder.DROP_FIRST)
+    for order in (TieOrder.TAKE_FIRST, "take-first"):
+        with pytest.raises(ValueError, match="not optimal"):
+            build_assignment_plan(M, order)
+    for scheme in (M, parse_scheme("2 2\n1 1\n1 0\n")):
+        for use in (decide_optimal, build_assignment_plan, lambda S, t: canonical_word(S, 0, t)):
+            with pytest.raises(ValueError, match="not a valid TieOrder"):
+                use(scheme, "bogus")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 7), st.randoms(use_true_random=False))
 def test_word_transforms(n, rng):
@@ -427,6 +445,38 @@ def test_decision_equals_the_list_scan_on_every_uniform_5x5():
     for k in (2, 3):
         enumerate_uniform(5, k, visit)
     assert sum(take_first_rejects) == 2280
+
+
+def test_words_and_plans_equal_the_reference_in_both_orders(fixtures_dir):
+    # Every uniform 5x5 (k = 2, 3), a stride of the stalling (6,3)
+    # matrices and every fixture: at every boundary and in both orders,
+    # the word's letters and rows equal the reference sort, and an
+    # accepted scheme's plan hands the rth dropper's bicycle to the rth
+    # taker of that word.
+    schemes = []
+    for k in (2, 3):
+        enumerate_uniform(5, k, lambda M, ok: schemes.append(M))
+    schemes += enumerate_uniform(6, 3, max_examples=9560).minimal_nonoptimal_examples[::40]
+    schemes += [parse_scheme(p.read_text()) for p in sorted(fixtures_dir.glob("*.mat"))]
+    plans = 0
+    for M in schemes:
+        table = prefix_sums(M).table
+        for order in TieOrder:
+            P = build_assignment_plan(M, order) if decide_optimal(M, order).optimal else None
+            for b in range(M.m - 1):
+                entries = reference_word_letters(M, table, b, order)
+                w = canonical_word(M, b, order)
+                assert w.letters == "".join(e[3] for e in entries), (M.rows, b, order)
+                assert w.rows == tuple(e[2] for e in entries), (M.rows, b, order)
+                if P is not None:
+                    droppers = [e[2] for e in entries if e[3] == "a"]
+                    takers = [e[2] for e in entries if e[3] == "b"]
+                    handovers = {i: j for i, j in P.pairs[b] if i != j}
+                    assert handovers == dict(zip(droppers, takers)), (M.rows, b, order)
+            plans += P is not None
+    # Drop-first accepts all 4,080 5x5s and four fixtures, take-first
+    # 1,800 of the 5x5s and two fixtures; no (6,3) example is accepted.
+    assert plans == 4080 + 4 + 1800 + 2
 
 
 @st.composite

@@ -348,10 +348,17 @@ def test_random_uniform_is_uniform(n, k, seed):
     assert (M.n, M.m) == (n, n)
 
 
-def test_random_uniform_is_deterministic_per_seed():
-    a = random_uniform(8, 3, random.Random(5))
-    b = random_uniform(8, 3, random.Random(5))
-    assert a == b
+@pytest.mark.parametrize(
+    "seed, masks",
+    [
+        (1, (145, 140, 70, 49, 98, 11, 84, 168)),
+        (2, (140, 37, 97, 168, 82, 82, 22, 137)),
+        (3, (152, 49, 196, 14, 7, 224, 25, 98)),
+    ],
+)
+def test_random_uniform_is_deterministic_per_seed(seed, masks):
+    # The same seed gives the same matrix, pinned row mask by row mask.
+    assert random_uniform(8, 3, random.Random(seed)).masks == masks
 
 
 @pytest.mark.parametrize(
