@@ -5,9 +5,10 @@ each traveller rides k of the n stages and each stage carries k
 bicycles, and how many of them cannot be executed without a stall.
 That is far past what listing the matrices one by one can reach:
 (10, 5) alone has about 6.7 * 10**18 of them.  enumerate_uniform
-counts them exactly by memoising its descent on row classes.  The
-counts at k and n - k agree (the binary dual), and no scheme stalls
-when n <= 5, k <= 2 or k >= n - 2.  The table is Markdown.
+counts them exactly over row classes: a column is how many rows of
+each class ride it, weighted by binomial coefficients.  The counts at
+k and n - k agree (the binary dual), and no scheme stalls when
+n <= 5, k <= 2 or k >= n - 2.  The table is Markdown.
 """
 
 from bikerelay import enumerate_uniform

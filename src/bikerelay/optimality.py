@@ -314,9 +314,9 @@ def build_assignment_plan(
     maps = []
     for b in range(M.m - 1):
         first = cols[b]
-        rows = _word(M, b, take_first)
-        droppers = [i for i in rows if first >> i & 1]
-        takers = [i for i in rows if not first >> i & 1]
+        droppers, takers = [], []
+        for i in _word(M, b, take_first):
+            (droppers if first >> i & 1 else takers).append(i)
         mp = {i: i for i in _mask_rows(first & cols[b + 1])}
         mp.update(zip(droppers, takers))
         maps.append(mp)

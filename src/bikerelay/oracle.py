@@ -1,9 +1,9 @@
 """Ground-truth machinery for checking the decision algorithm.
 
-enumerate_uniform counts the n x n matrices with all line sums k,
-deciding each verdict on the column prefix with decide_optimal's
-boundary test (_is_dyck_at over _scanned_boundaries); without a visitor
-it counts row classes of prefixes.  The checks on that verdict are
+enumerate_uniform counts the n x n matrices with all line sums k on
+row classes, and lists them in labelled order, deciding each verdict
+on the column prefix with decide_optimal's boundary test (_is_dyck_at
+over _scanned_boundaries).  The checks on that verdict are
 deliberately independent of the word-based decision: cross_validate
 tests every matrix for a first-come run with no stall, post by post on
 the ride counts, in the same descent and once per column prefix, and
@@ -18,8 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from functools import cache
+from itertools import combinations, groupby
+from math import comb, gcd
 from operator import le
 from typing import Callable
 
@@ -67,50 +68,37 @@ def enumerate_uniform(
 ) -> EnumerationReport:
     """Census of the n x n binary matrices whose rows and columns all sum to k.
 
-    Columns are generated left to right, choosing each column's
-    support in lexicographic order; a row whose missing rides equal
-    the remaining columns is forced into every one of them, so no
-    branch dies and the last column is the rows with one ride left.
-    Each matrix is built from the row and column masks, kept up to
-    date as columns are placed, without validation.  The visitor, when
-    given, is called once per matrix with (matrix, optimal flag).
+    The counts come from _class_census, on row classes with binomial
+    weights; the examples are the first max_examples non-optimal
+    matrices in the labelled order of _descend, which also calls the
+    visitor, when given, once per matrix with (matrix, optimal flag).
 
-    The verdict is decided on the column prefix: placing column b+1
-    tests boundary b, for the boundaries decide_optimal scans, while
-    the prefix is still optimal, and every matrix below the prefix
-    shares the outcome.  Without a visitor, what each finished prefix
-    adds to the totals is memoised on its row classes (see _descend),
-    so the descent counts classes of prefixes rather than matrices.  A
-    memoised prefix is descended again only while it may still add a
-    wanted example, so the examples are the first max_examples
-    non-optimal matrices in the order the visitor would see them.
-
-    Counting alone is never refused.  Listing the matrices one by one
-    to a visitor is refused beyond n = EXHAUSTIVE_GUARD: past it, every
-    k with a non-optimal matrix (3 <= k <= n-3, where a boundary is
+    Counting is never refused.  Listing the matrices one by one to a
+    visitor is refused beyond n = EXHAUSTIVE_GUARD: past it, every k
+    with a non-optimal matrix (3 <= k <= n-3, where a boundary is
     scanned) has billions of matrices to list.
 
     Raises:
         ValueError: k out of range, a negative max_examples, or a
             visitor with n beyond the exhaustive guard.
     """
-    return _descend(n, k, visitor, max_examples, probe=False)
+    count = _class_census(n, k)
+    examples = _descend(n, k, visitor, max_examples, False, count)
+    total, optimal = count(0, True, (2 * k + 1,) * n)
+    return EnumerationReport(n, k, total, optimal, total - optimal, tuple(examples))
 
 
 def cross_validate(n: int, k: int) -> list[Mismatch]:
     """Compare the word verdict with greedy execution over all (n, k) matrices.
 
-    Every uniform matrix is tested for a first-come run with no stall,
-    decided post by post on the column prefix as the word verdict is
-    (see _descend).  The test reads only ride counts, so one test
-    holds at every speed ratio.  Each matrix where it disagrees with
-    the word verdict is built, run by simulate's greedy executor at
-    each of DEFAULT_SPEED_RATIOS, and returned as a Mismatch carrying
-    those runs' flags, in the order enumerate_uniform visits the
+    Every uniform matrix gets the first-come test of _descend, on ride
+    counts and so at every speed ratio at once.  Each matrix where it
+    disagrees with the word verdict is run by simulate's greedy
+    executor at each of DEFAULT_SPEED_RATIOS and returned as a Mismatch
+    with those runs' flags, in the order enumerate_uniform visits the
     matrices.  An empty list is the expected outcome; a Mismatch whose
     flags all equal dyck_optimal points at the prefix test instead.
-    Every matrix is decided on its own, so the exhaustive guard
-    applies.
+    Every matrix is decided on its own, so the exhaustive guard applies.
     """
     ticks = [_stage_ticks(SpeedModel(1, r))[:2] for r in DEFAULT_SPEED_RATIOS]
     mismatches: list[Mismatch] = []
@@ -123,35 +111,77 @@ def cross_validate(n: int, k: int) -> list[Mismatch]:
     return mismatches
 
 
+def _class_census(n: int, k: int) -> Callable[[int, bool, tuple[int, ...]], tuple[int, int]]:
+    """The (n, k) census on row classes, as a function with its own cache.
+
+    count(j, ok, classes) -> (total, optimal) counts the completions of
+    a prefix through column j-1 and the optimal ones; ok is its verdict
+    so far, classes the sorted 2*cap + (the row walks column j-1).
+    Equal classes give a row permutation that maps the completions one
+    to one and keeps every later word: a word reads only ride counts
+    (caps) and the columns beside it, and rows tied on ride count that
+    both drop (or take) carry one letter.  A column takes t rows of a
+    class in C(size, t) ways: all at cap n-j, none at cap 0, k in all.
+    Ascending classes list boundary j-1's word, droppers first on a
+    tie, so a scanned word is Dyck iff the running depth (droppers
+    minus takers) stays at or above zero.  The last column is forced.
+    """
+    scanned = _scanned_boundaries(k, n)
+
+    @cache
+    def count(j: int, ok: bool, classes: tuple[int, ...]) -> tuple[int, int]:
+        if j >= n - 1:
+            return 1, int(ok)
+        test = ok and j - 1 in scanned
+        groups = [(*divmod(c, 2), len(list(g))) for c, g in groupby(classes)]
+        columns: list[tuple[int, tuple[int, int]]] = []
+
+        def choose(g: int, left: int, ways: int, depth: int, good: bool, child: tuple) -> None:
+            if g == len(groups):
+                if not left:
+                    columns.append((ways, count(j + 1, good, tuple(sorted(child)))))
+                return
+            cap, walks, size = groups[g]
+            for t in range(size if cap == n - j else 0, min(size, left) + 1 if cap else 1):
+                # t rows ride column j: takers if they walked column j-1; else size - t drop.
+                d = depth - t if walks else depth + size - t
+                ok_t = good and (d >= 0 or not test)
+                child_t = child + (2 * cap - 2,) * t + (2 * cap + 1,) * (size - t)
+                choose(g + 1, left - t, ways * comb(size, t), d, ok_t, child_t)
+
+        choose(0, k, 1, 0, ok, ())
+        return sum(w * t for w, (t, _) in columns), sum(w * o for w, (_, o) in columns)
+
+    return count
+
+
 def _descend(
     n: int,
     k: int,
     visitor: Callable[[BinaryScheme, bool], None] | None,
     max_examples: int,
     probe: bool,
-) -> EnumerationReport:
+    count: Callable[[int, bool, tuple[int, ...]], tuple[int, int]] | None = None,
+) -> list[BinaryScheme]:
     """The labelled descent behind enumerate_uniform and cross_validate.
 
-    With probe, every matrix is also tested for a greedy first-come
-    run with no stall, decided on the column prefix.  Until the first
-    stall, traveller i reaches post j at tick
-    j*walk - rides*(walk - ride), with rides = k - cap their ride count
-    through column j-1.  A ride is shorter than a walk, so at every
-    speed ratio arrival order is cap order, and the first-come test at
-    post j (the m-th earliest taker leaves on the m-th earliest drop)
-    passes iff each dropper's cap is at most the matching taker's,
-    both sorted.  Every column has k rows, so a post has as many
-    takers as droppers.  Placing column j >= 1 runs the test while the
-    run is still free of stalls; a failure is final, since the run
-    would stop there.  The visitor then gets (matrix, word verdict)
-    only for the matrices where the test and the word verdict
-    disagree; the others are never built.
+    Columns go left to right, supports in lexicographic order; placing
+    column b+1 tests boundary b if decide_optimal scans it and the
+    prefix is still optimal.  The prefix is kept once, as caps, row
+    masks and columns, and depth n-2 finishes its children with the
+    forced last column.  Returns the first max_examples non-optimal
+    matrices.  Without a visitor, it enters an optimal child only while
+    examples are wanted and count has a non-optimal completion for it.
 
-    The prefix is recorded once, as caps, row masks and columns; ride
-    count slices are built where a boundary is tested.  Each node keeps
-    the supports of one table of columns that its caps allow, sorts its
-    caps once for the test, and at depth n-2 counts its children, which
-    the forced last column finishes, without placing them.
+    With probe, every matrix is also tested for a greedy first-come
+    run with no stall, on the column prefix.  Until the first stall,
+    traveller i reaches post j at tick j*walk - rides*(walk - ride),
+    rides = k - cap.  A ride is shorter than a walk, so at every speed
+    ratio arrival order is cap order, and the test at post j passes
+    iff each dropper's cap is at most the matching taker's, both sorted
+    (a post has as many of each).  A failure is final: the run stops
+    there.  The visitor then gets (matrix, word verdict) only where the
+    test and the word verdict disagree; the others are never built.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"bad parameters n={n}, k={k}")
@@ -170,13 +200,7 @@ def _descend(
     caps = [k] * n
     masks = [0] * n  # row masks of the columns placed so far
     cols: list[int] = []
-    total = optimal = 0
     examples: list[BinaryScheme] = []
-    memo: dict[tuple, tuple[int, int]] = {}
-    # The visitor gets every matrix, or with probe only those where the
-    # test and the word verdict disagree.
-    list_all = visitor is not None and not probe
-    list_odd = visitor is not None and probe
 
     def build(col: int) -> BinaryScheme:
         # The matrix whose column n-2 is col: the last column is the
@@ -189,32 +213,12 @@ def _descend(
         )
         return BinaryScheme._from_masks(rows, n, (*cols, col, last))
 
-    def place(j: int, ok: bool, runs: bool):
+    def place(j: int, ok: bool, runs: bool) -> None:
         # On entry j <= n-2, every cap is at most n-j and the caps sum to
         # k*(n-j), so no branch dies; runs is whether the probe found no
-        # stall.  The children at j = n-2 are finished matrices: the last
-        # column is the k rows with cap 1, it closes no scanned boundary,
-        # and its droppers have one ride more than its takers.  They are
-        # counted here and built only to be shown or kept as examples.
-        nonlocal total, optimal
+        # stall.  The children at j = n-2 are finished: the last column is
+        # the k rows with cap 1, and no word or first stall falls there.
         prev = cols[-1] if j else 0
-        if visitor is None:
-            # A row's class is its cap and whether it rides column j-1.
-            # A row permutation that maps one prefix's classes onto
-            # another's maps their completions one to one, and keeps
-            # every later word: the word is read off ride counts (caps)
-            # and the two columns beside the boundary, and rows tied on
-            # ride count that both drop (or both take) carry the same
-            # letter.  So the two prefixes add the same (total, optimal).
-            classes = sorted(2 * c + (prev >> i & 1) for i, c in enumerate(caps))
-            key = (j, ok, tuple(classes))
-            hit = memo.get(key)
-            # Taken unless the subtree may hold an example still wanted.
-            if hit is not None and (hit[0] == hit[1] or len(examples) >= max_examples):
-                total += hit[0]
-                optimal += hit[1]
-                return
-            before = total, optimal
         # A support holds every forced row (cap n-j) and no spent one (cap 0).
         forced = spent = 0
         for i, c in enumerate(caps):
@@ -241,6 +245,8 @@ def _descend(
         for col, support in table:
             if col & held != forced:
                 continue
+            if visitor is None and len(examples) == max_examples:
+                return
             child_ok = ok
             if test:
                 child_ok = _is_dyck_at(prev & ~col, col & ~prev, slices)
@@ -251,11 +257,9 @@ def _descend(
                 taken = [c for c, b in rest if col & b]
                 child_runs = all(map(le, dropped, taken))
             if finishing:
-                total += 1
-                if child_ok:
-                    optimal += 1
+                # Shown: every matrix, or with probe those the test disputes.
                 wanted = not child_ok and len(examples) < max_examples
-                shown = list_all or list_odd and child_runs != child_ok
+                shown = visitor is not None and (not probe or child_runs != child_ok)
                 if wanted or shown:
                     M = build(col)
                     if wanted:
@@ -263,6 +267,11 @@ def _descend(
                     if shown:
                         visitor(M, child_ok)
                 continue
+            if visitor is None and child_ok:
+                classes = (2 * c - 2 if col >> i & 1 else 2 * c + 1 for i, c in enumerate(caps))
+                below, fine = count(j + 1, True, tuple(sorted(classes)))
+                if fine == below:
+                    continue
             for i in support:
                 caps[i] -= 1
                 masks[i] |= bit
@@ -272,24 +281,14 @@ def _descend(
             for i in support:
                 caps[i] += 1
                 masks[i] ^= bit
-        if visitor is None:
-            memo[key] = (total - before[0], optimal - before[1])
 
     if n == 1:
-        # The one matrix [k]: no post to probe, no boundary to scan.
-        total = optimal = 1
-        if list_all:
+        # The one matrix [k]: optimal, with no post to probe.
+        if visitor is not None and not probe:
             visitor(BinaryScheme._from_masks((k,), 1, (k,)), True)
     else:
         place(0, True, probe)
-    return EnumerationReport(
-        n=n,
-        k=k,
-        total_uniform=total,
-        optimal_count=optimal,
-        nonoptimal_count=total - optimal,
-        minimal_nonoptimal_examples=tuple(examples),
-    )
+    return examples
 
 
 def random_uniform(n: int, k: int, rng: random.Random) -> BinaryScheme:
