@@ -84,7 +84,8 @@ def block_compose(
     d = gcd(n,k), n' = n/d, k' = k/d.  Cell (g, t) occupies rows
     g*n'..(g+1)*n'-1 and columns t*n'..(t+1)*n'-1.  Column sums come
     to d*k' = k and row sums to r*k', so the result is uniform; with
-    optimal cells it decides optimal as a rectangular scheme.
+    optimal cells it decides optimal as a rectangular scheme.  One pass
+    checks each distinct cell where it first appears and ORs in its masks.
 
     Args:
         n: travellers.
@@ -104,24 +105,23 @@ def block_compose(
     n_prime, k_prime = n // d, k // d
     if len(cells) != d or any(len(row) != r for row in cells):
         raise ValueError(f"cells must form a {d}x{r} array")
+    masks = [0] * n
+    checked: set[BinaryScheme] = set()
     for g, cell_row in enumerate(cells):
         for t, cell in enumerate(cell_row):
-            if cell.n != n_prime or cell.m != n_prime:
-                raise ValueError(
-                    f"cell ({g},{t}) is {cell.n}x{cell.m}, expected {n_prime}x{n_prime}"
-                )
-            uni = uniformity(cell)
-            if not uni.is_uniform or uni.k != k_prime:
-                raise ValueError(f"cell ({g},{t}) is not {k_prime}-uniform")
-            if not decide_optimal(cell).optimal:
-                raise ValueError(f"cell ({g},{t}) does not decide optimal")
-    masks = []
-    for cell_row in cells:
-        for i in range(n_prime):
-            x = 0
-            for t, cell in enumerate(cell_row):
-                x |= cell.masks[i] << (t * n_prime)
-            masks.append(x)
+            if cell not in checked:  # the checks read only masks and m
+                if cell.n != n_prime or cell.m != n_prime:
+                    raise ValueError(
+                        f"cell ({g},{t}) is {cell.n}x{cell.m}, expected {n_prime}x{n_prime}"
+                    )
+                uni = uniformity(cell)
+                if not uni.is_uniform or uni.k != k_prime:
+                    raise ValueError(f"cell ({g},{t}) is not {k_prime}-uniform")
+                if not decide_optimal(cell).optimal:
+                    raise ValueError(f"cell ({g},{t}) does not decide optimal")
+                checked.add(cell)
+            for i, x in enumerate(cell.masks, g * n_prime):
+                masks[i] |= x << t * n_prime
     return BinaryScheme._from_masks(tuple(masks), r * n_prime)
 
 

@@ -184,18 +184,6 @@ def dual_reverse_word(w: CanonicalWord | str) -> str:
     return "".join(swap[ch] for ch in reversed(letters))
 
 
-def _add_column(slices: list[int], col: int) -> None:
-    """Add one ride to every row in col; slices[t] holds bit t of each row's count."""
-    carry = col
-    for t, s in enumerate(slices):
-        if not carry:
-            return
-        slices[t] = s ^ carry
-        carry &= s
-    if carry:
-        slices.append(carry)
-
-
 def _is_dyck_at(drop: int, take: int, slices: list[int]) -> bool:
     """Whether the word of a boundary with these dropper and taker masks is Dyck.
 
@@ -279,10 +267,17 @@ def decide_optimal(
         return Verdict(False, None, "not-uniform")
     scanned = range(M.m - 1) if take_first else _scanned_boundaries(uni.l, M.m)
     cols = M.col_masks
-    slices: list[int] = []
+    slices: list[int] = []  # bit t of each row's ride count through column b
     for b in range(scanned.stop):
         first, second = cols[b], cols[b + 1]
-        _add_column(slices, first)
+        carry = first  # one more ride for each row of column b, added bitwise
+        for t, s in enumerate(slices):
+            if not carry:
+                break
+            slices[t] = s ^ carry
+            carry &= s
+        if carry:
+            slices.append(carry)
         if b < scanned.start:
             continue
         take = second & ~first

@@ -19,15 +19,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, groupby
+from itertools import accumulate, combinations, groupby
 from math import comb, gcd
 from operator import le
 from typing import Callable
 
 from .generators import cyclic_matrix
-from .optimality import _add_column, _is_dyck_at, _scanned_boundaries
+from .optimality import _is_dyck_at, _scanned_boundaries
 from .scheme import BinaryScheme
-from .simulate import SpeedModel, _execute, _stage_ticks
+from .simulate import SpeedModel, is_executable_without_stall
 
 EXHAUSTIVE_GUARD = 7
 
@@ -92,20 +92,20 @@ def cross_validate(n: int, k: int) -> list[Mismatch]:
     """Compare the word verdict with greedy execution over all (n, k) matrices.
 
     Every uniform matrix gets the first-come test of _descend, on ride
-    counts and so at every speed ratio at once.  Each matrix where it
-    disagrees with the word verdict is run by simulate's greedy
-    executor at each of DEFAULT_SPEED_RATIOS and returned as a Mismatch
-    with those runs' flags, in the order enumerate_uniform visits the
-    matrices.  An empty list is the expected outcome; a Mismatch whose
-    flags all equal dyck_optimal points at the prefix test instead.
-    Every matrix is decided on its own, so the exhaustive guard applies.
+    counts and so at every speed ratio at once.  Each matrix where the
+    test and the word verdict disagree runs through
+    is_executable_without_stall at each of DEFAULT_SPEED_RATIOS and is
+    returned as a Mismatch with those flags, in the order
+    enumerate_uniform visits the matrices.  An empty list is the
+    expected outcome; a Mismatch whose flags all equal dyck_optimal
+    points at the prefix test instead.  Every matrix is decided on its
+    own, so the exhaustive guard applies.
     """
-    ticks = [_stage_ticks(SpeedModel(1, r))[:2] for r in DEFAULT_SPEED_RATIOS]
     mismatches: list[Mismatch] = []
 
     def execute(M: BinaryScheme, ok: bool) -> None:
-        stall_free = tuple(_execute(M, walk, ride) for walk, ride in ticks)
-        mismatches.append(Mismatch(M, ok, stall_free))
+        stall_free = (is_executable_without_stall(M, SpeedModel(1, r)) for r in DEFAULT_SPEED_RATIOS)
+        mismatches.append(Mismatch(M, ok, tuple(stall_free)))
 
     _descend(n, k, execute, 0, probe=True)
     return mismatches
@@ -121,7 +121,8 @@ def _class_census(n: int, k: int) -> Callable[[int, bool, tuple[int, ...]], tupl
     to one and keeps every later word: a word reads only ride counts
     (caps) and the columns beside it, and rows tied on ride count that
     both drop (or take) carry one letter.  A column takes t rows of a
-    class in C(size, t) ways: all at cap n-j, none at cap 0, k in all.
+    class in C(size, t) ways: all at cap n-j, none at cap 0, k in all;
+    least[g] and most[g], what classes g.. must and can take, bound t.
     Ascending classes list boundary j-1's word, droppers first on a
     tie, so a scanned word is Dyck iff the running depth (droppers
     minus takers) stays at or above zero.  The last column is forced.
@@ -134,15 +135,17 @@ def _class_census(n: int, k: int) -> Callable[[int, bool, tuple[int, ...]], tupl
             return 1, int(ok)
         test = ok and j - 1 in scanned
         groups = [(*divmod(c, 2), len(list(g))) for c, g in groupby(classes)]
+        least = [*accumulate((s * (c == n - j) for c, _, s in groups[::-1]), initial=0)][::-1]
+        most = [*accumulate((s * (c > 0) for c, _, s in groups[::-1]), initial=0)][::-1]
         columns: list[tuple[int, tuple[int, int]]] = []
 
         def choose(g: int, left: int, ways: int, depth: int, good: bool, child: tuple) -> None:
             if g == len(groups):
-                if not left:
-                    columns.append((ways, count(j + 1, good, tuple(sorted(child)))))
+                columns.append((ways, count(j + 1, good, tuple(sorted(child)))))
                 return
             cap, walks, size = groups[g]
-            for t in range(size if cap == n - j else 0, min(size, left) + 1 if cap else 1):
+            low = max(least[g] - least[g + 1], left - most[g + 1])
+            for t in range(low, min(most[g] - most[g + 1], left - least[g + 1]) + 1):
                 # t rows ride column j: takers if they walked column j-1; else size - t drop.
                 d = depth - t if walks else depth + size - t
                 ok_t = good and (d >= 0 or not test)
@@ -166,12 +169,12 @@ def _descend(
     """The labelled descent behind enumerate_uniform and cross_validate.
 
     Columns go left to right, supports in lexicographic order; placing
-    column b+1 tests boundary b if decide_optimal scans it and the
-    prefix is still optimal.  The prefix is kept once, as caps, row
-    masks and columns, and depth n-2 finishes its children with the
-    forced last column.  Returns the first max_examples non-optimal
-    matrices.  Without a visitor, it enters an optimal child only while
-    examples are wanted and count has a non-optimal completion for it.
+    column b+1 tests boundary b on the ride counts k - cap if it is
+    scanned and the prefix is still optimal.  The prefix is kept once,
+    as caps, row masks and columns; depth n-2 finishes its children
+    with the forced last column.  Returns the first max_examples
+    non-optimal matrices; with no visitor, it enters an optimal child
+    only while examples are wanted and count finds non-optimal completions.
 
     With probe, every matrix is also tested for a greedy first-come
     run with no stall, on the column prefix.  Until the first stall,
@@ -193,6 +196,7 @@ def _descend(
             f"the limit is n={EXHAUSTIVE_GUARD}"
         )
     scanned = _scanned_boundaries(k, n)
+    ride_bits = [[t for t in range(k.bit_length()) if k - c >> t & 1] for c in range(k + 1)]
     # Every column support as (mask, rows), in lexicographic order.  Two
     # supports that hold the same forced rows first differ outside them,
     # so the ones a node keeps come in the order of their free parts.
@@ -231,9 +235,10 @@ def _descend(
         bit = 1 << j
         test = ok and j - 1 in scanned
         if test:
-            slices: list[int] = []  # ride counts through column j-1
-            for col in cols:
-                _add_column(slices, col)
+            slices = [0] * k.bit_length()  # bit t of each row's rides through column j-1
+            for i, c in enumerate(caps):
+                for t in ride_bits[c]:
+                    slices[t] |= 1 << i
         probing = j and runs
         if probing:
             # The caps through column j-1, ascending, of the rows that

@@ -19,6 +19,7 @@ from bikerelay import (
     uniformity,
     valid_stage_counts,
 )
+from bikerelay import generators
 from bikerelay.generators import _check_nk
 
 
@@ -258,6 +259,63 @@ def test_block_compose_equals_the_row_reference():
             assert_same_scheme(
                 block_compose(n, k, r, cells), reference_block_compose(n, k, r, cells)
             )
+    # Three distinct cells, repeated in no regular pattern.
+    cell = cyclic_matrix(3, 2)
+    shifts = [permute_rows(cell, [(i + s) % 3 for i in range(3)]) for s in range(3)]
+    cells = [[shifts[(g * g + t) % 3] for t in range(5)] for g in range(3)]
+    assert_same_scheme(block_compose(9, 6, 5, cells), reference_block_compose(9, 6, 5, cells))
+
+
+def test_block_compose_decides_each_distinct_cell_once(monkeypatch):
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return decide_optimal(M)
+
+    monkeypatch.setattr(generators, "decide_optimal", counted)
+    cell = cyclic_matrix(3, 2)
+    other = permute_rows(cell, [1, 2, 0])
+    grids = [
+        (12, 8, 3, default_block_cells(12, 8, 3), 1),
+        # Equal cells that are distinct objects count once too.
+        (6, 4, 2, [[cyclic_matrix(3, 2) for _ in range(2)] for _ in range(2)], 1),
+        (6, 4, 2, [[cell, other], [other, cell]], 2),
+    ]
+    for n, k, r, cells, distinct in grids:
+        calls.clear()
+        block_compose(n, k, r, cells)
+        assert len(calls) == distinct
+
+
+def _bad_cells():
+    # (n, k, good cell, bad cell, error text without the position)
+    nonoptimal = enumerate_uniform(7, 3, max_examples=1).minimal_nonoptimal_examples[0]
+    yield 6, 4, cyclic_matrix(3, 2), cyclic_matrix(4, 2), "is 4x4, expected 3x3"
+    yield 6, 4, cyclic_matrix(3, 2), cyclic_matrix(3, 1), "is not 2-uniform"
+    yield 14, 6, cyclic_matrix(7, 3), nonoptimal, "does not decide optimal"
+
+
+@pytest.mark.parametrize(
+    "layout, first",
+    [
+        # Equal valid cells before the bad one do not hide it.
+        (("good", "good", "good", "bad"), (1, 1)),
+        # A bad cell that repeats is named where it first appears.
+        (("good", "bad", "bad", "bad"), (0, 1)),
+        (("bad", "good", "good", "bad"), (0, 0)),
+    ],
+)
+def test_block_compose_names_the_first_bad_cell(layout, first):
+    g, t = first
+    for n, k, good, bad, text in _bad_cells():
+        flat = [{"good": good, "bad": bad}[name] for name in layout]
+        cells = [flat[:2], flat[2:]]
+        with pytest.raises(ValueError) as got:
+            block_compose(n, k, 2, cells)
+        with pytest.raises(ValueError) as want:
+            reference_block_compose(n, k, 2, cells)
+        assert str(got.value) == str(want.value) == f"cell ({g},{t}) {text}"
 
 
 def test_single_ride_recognition_equals_the_row_reference():
