@@ -49,13 +49,16 @@ from .scheme import (
 from .simulate import (
     DeadlockError,
     SpeedModel,
-    _frac,
     simulate,
     write_trace_csv,
 )
 
 def _bool(v: bool) -> str:
     return "true" if v else "false"
+
+
+def _frac(t: Fraction) -> str:
+    return f"{t.numerator}/{t.denominator}"
 
 
 def _emit(args, pairs, tables=()):

@@ -15,7 +15,7 @@ _execute, counts those ticks and states the service rule once for
 both policies; it numbers bicycles only for a trace (simulate), and
 first_stall_ride_index runs it to the end but records only the
 stalls.  simulate turns ticks into Fractions, cohort_profile reads the
-clock off the rows, and write_trace_csv sorts and prints on ticks.
+clock off the rows, and write_trace_csv files rows by tick in one pass.
 Simultaneous arrivals (equal ride counts) are exactly the handovers
 the optimality theory relies on, so float rounding would turn ties
 into races and change verdicts.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate
-from math import gcd
+from math import gcd, inf
 from typing import IO
 
 from .optimality import AssignmentPlan, _structural_violation
@@ -410,49 +410,31 @@ def cohort_profile(trace: SimulationTrace) -> CohortProfile:
     return CohortProfile(max_positions, Fraction(max_gap, unit), Fraction(max_spread, unit))
 
 
-def _frac(t: Fraction) -> str:
-    return f"{t.numerator}/{t.denominator}"
-
-
-def _trace_rows(trace: SimulationTrace):
-    """Each CSV row as (time, traveller, rank, post, "event,bike"); rank
-    orders a traveller's rows at one time: arrive, stalls, handover, depart."""
-    for i, (departs, arrivals, bikes) in enumerate(
-        zip(trace.depart_times, trace.post_arrival_times, trace.stage_bike)
-    ):
-        for j, bike in enumerate(bikes):
-            if bike is None:
-                yield departs[j], i, 4, j, "depart_walk,"
-                yield arrivals[j + 1], i, 0, j + 1, "arrive,"
-            else:
-                yield departs[j], i, 4, j, f"depart_ride,{bike}"
-                yield arrivals[j + 1], i, 0, j + 1, f"arrive,{bike}"
-    for s in trace.stall_events:
-        yield s.start, s.traveller, 1, s.post, "stall_begin,"
-        yield s.start + s.wait, s.traveller, 2, s.post, "stall_end,"
-    for h in trace.handover_events:
-        yield h.time, h.taker, 3, h.post, f"handover,{h.bike}"
-
-
 def write_trace_csv(trace: SimulationTrace, out: IO[str]):
     """Dump a trace as CSV: time,traveller,post,event,bike.
 
     Times are exact fractions p/q.  The traveller on a handover row is
     the taker; the giver's own movements appear on their own rows.
-    Each time is read once as whole ticks (see _stage_ticks); rows sort
-    on one int key packing (tick, traveller, rank, post), and each
-    distinct tick is formatted once.  Line ends are CRLF, as csv.writer's.
+    Rows sort on (time, traveller, event, post), the events in the
+    order arrive, stall_begin, stall_end, handover, depart.  In a run a
+    traveller is at one post per tick, so one pass appends each
+    traveller's rows, in their own order, to their ticks' buckets
+    already sorted; only the distinct ticks are sorted.  A time is read
+    as whole ticks (see _stage_ticks) once per Fraction object, and
+    each tick is formatted once.  Line ends are CRLF, as csv.writer's.
 
     Raises:
-        ValueError: a time is not a whole number of ticks (only a trace
-            not made by simulate can hold one).
+        ValueError: only for a trace not made by simulate: a time that
+            is no whole number of ticks, a traveller's rows going back in
+            time or two of their posts at one tick, or a stall or
+            handover where its traveller starts no stage.
     """
-    n, m = trace.scheme.n, trace.scheme.m
     per_unit = _stage_ticks(trace.speeds)[2]
     scale: dict[int, int] = {}  # denominator q -> per_unit // q
-    text: dict[int, str] = {}  # tick -> "p/q"
-    rows = []
-    for t, traveller, rank, post, rest in _trace_rows(trace):
+    buckets: dict[int, list[str]] = {}  # tick -> its rows, less the time
+    seen: dict[int, tuple] = {}  # id(t) -> (5 * tick, bucket, t); t pins its id
+
+    def read(t):
         p, q = t.as_integer_ratio()
         s = scale.get(q)
         if s is None:
@@ -460,13 +442,47 @@ def write_trace_csv(trace: SimulationTrace, out: IO[str]):
             if r:
                 raise ValueError(f"time {p}/{q} is not a whole number of ticks of 1/{per_unit}")
             scale[q] = s
-        tick = p * s
-        time = text.get(tick)
-        if time is None:
-            g = gcd(tick, per_unit)
-            time = text[tick] = f"{tick // g}/{per_unit // g}"
-        key = ((tick * n + traveller) * 5 + rank) * (m + 1) + post
-        rows.append((key, f"{time},{traveller},{post},{rest}\r\n"))
-    rows.sort()
+        seen[id(t)] = e = (5 * p * s, buckets.setdefault(p * s, []), t)
+        return e
+
+    extra: dict[tuple[int, int], list] = {}  # (traveller, post) -> [(time, rank, row)]
+    for s in trace.stall_events:
+        at = f"{s.traveller},{s.post},"
+        rows = extra.setdefault((s.traveller, s.post), [])
+        rows += (s.start, 1, at + "stall_begin,\r\n"), (s.start + s.wait, 2, at + "stall_end,\r\n")
+    for h in trace.handover_events:
+        row = f"{h.taker},{h.post},handover,{h.bike}\r\n"
+        extra.setdefault((h.taker, h.post), []).append((h.time, 3, row))
+    posts = [f",{j}," for j in range(trace.scheme.m + 1)]
+    texts = {None: ("depart_walk,\r\n", "arrive,\r\n")}  # bike -> (depart, arrive)
+    for i, (departs, arrivals, bikes) in enumerate(
+        zip(trace.depart_times, trace.post_arrival_times, trace.stage_bike)
+    ):
+        who = str(i)
+        at = who + posts[0]
+        rows = []  # (time, rank, row) in the traveller's own order
+        for j, bike in enumerate(bikes):
+            rows += extra.pop((i, j), ())
+            if bike not in texts:
+                texts[bike] = (f"depart_ride,{bike}\r\n", f"arrive,{bike}\r\n")
+            depart, arrive = texts[bike]
+            rows.append((departs[j], 4, at + depart))
+            at = who + posts[j + 1]
+            rows.append((arrivals[j + 1], 0, at + arrive))
+        # 5 * tick + rank must rise, so each arrive row (rank 0) is at a later tick.
+        last = -inf
+        for t, rank, row in rows:
+            e = seen.get(id(t)) or read(t)
+            if e[0] + rank <= last:
+                post = row.split(",")[1]
+                raise ValueError(f"traveller {i}'s rows run out of time order at post {post}")
+            e[1].append(row)
+            last = e[0] + rank
+    if extra:
+        i, j = next(iter(extra))
+        raise ValueError(f"no stage starts at post {j} for traveller {i}'s stall or handover")
     out.write("time,traveller,post,event,bike\r\n")
-    out.write("".join([line for _, line in rows]))
+    for tick in sorted(buckets):
+        g = gcd(tick, per_unit)
+        prefix = f"{tick // g}/{per_unit // g},"
+        out.write(prefix + prefix.join(buckets[tick]))

@@ -312,7 +312,7 @@ def _assert_runs_as_the_reference(M, speeds, policy="greedy", plan=None):
         return None
     got = simulate(M, speeds, policy, plan)
     assert got == want, (M.rows, speeds, policy)
-    assert _trace_csv(got) == _trace_csv(want)
+    assert _trace_csv(got) == _reference_trace_csv(want)
     if policy == "greedy":
         assert is_executable_without_stall(M, speeds) is (want.stall_events == ())
         assert first_stall_ride_index(M, speeds) == reference_first_stall_ride_index(want)
@@ -775,6 +775,30 @@ def test_trace_csv_rejects_a_time_off_the_tick_clock(split_riders):
     h = tr.handover_events[0]
     bad = replace(tr, handover_events=(replace(h, time=Fraction(1, 3)),))
     with pytest.raises(ValueError, match="1/3"):
+        write_trace_csv(bad, io.StringIO())
+
+
+def test_trace_csv_rejects_two_posts_at_one_tick(split_riders):
+    # Traveller 4 walks stages 0-2 at speed 1.  A hand-built trace that
+    # has them reach post 2 at time 1, the moment they leave post 1,
+    # puts two of their posts at one tick.
+    tr = simulate(split_riders, HALF)
+    arrivals = list(tr.post_arrival_times[4])
+    assert arrivals[2] == 2 and tr.depart_times[4][1] == 1
+    arrivals[2] = tr.depart_times[4][1]
+    times = list(tr.post_arrival_times)
+    times[4] = tuple(arrivals)
+    bad = replace(tr, post_arrival_times=tuple(times))
+    with pytest.raises(ValueError, match="traveller 4's .* post 2"):
+        write_trace_csv(bad, io.StringIO())
+
+
+def test_trace_csv_rejects_a_handover_where_no_stage_starts(split_riders):
+    # Post m ends the journey; no stage starts there to take a bicycle for.
+    tr = simulate(split_riders, HALF)
+    h = tr.handover_events[0]
+    bad = replace(tr, handover_events=(replace(h, post=split_riders.m),))
+    with pytest.raises(ValueError, match=f"no stage starts at post 6 for traveller {h.taker}'s"):
         write_trace_csv(bad, io.StringIO())
 
 
