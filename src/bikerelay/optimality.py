@@ -319,22 +319,45 @@ def build_assignment_plan(
 
 
 def _structural_violation(M: BinaryScheme, P: AssignmentPlan) -> PlanViolation | None:
-    """Domain/identity/range/injectivity checks, lowest boundary first."""
+    """Domain/identity/range/injectivity checks, lowest boundary first.
+
+    A boundary passes on masks: donors C[b], fixed points C[b] & C[b+1],
+    receivers within C[b+1], and as many of each as pairs.  Any other is
+    scanned row by row to name its violation, a repeated donor first.
+    """
     if P.boundaries != M.m - 1:
         raise ValueError(
             f"plan covers {P.boundaries} boundaries, scheme has {M.m - 1}"
         )
     cols = M.col_masks
-    for b in range(M.m - 1):
+    bit = {i: 1 << i for i in range(M.n)}
+    for b, pairs in enumerate(P.pairs):
+        first, second = cols[b], cols[b + 1]
+        donors = receivers = fixed = 0
+        try:
+            for i, j in pairs:
+                donors |= bit[i]
+                receivers |= bit[j]
+                if i == j:
+                    fixed |= bit[i]
+        except (KeyError, TypeError, ValueError):  # an entry that is no pair of rows
+            donors = -1
+        if (donors == first and fixed == first & second and not receivers & ~second
+                and donors.bit_count() == receivers.bit_count() == len(pairs)):
+            continue
         mp = P.mapping(b)
-        need = set(_mask_rows(cols[b]))
+        if len(mp) != len(pairs):
+            rows = [i for i, _ in pairs]
+            i = min(i for i in mp if rows.count(i) > 1)
+            return PlanViolation(b, "domain", i, None, f"row {i} has {rows.count(i)} map entries")
+        need = set(_mask_rows(first))
         have = set(mp)
         for i in sorted(need - have):
             return PlanViolation(b, "domain", i, None, f"row {i} rides stage {b} but has no map entry")
         for i in sorted(have - need):
             return PlanViolation(b, "domain", i, mp[i], f"row {i} does not ride stage {b} yet appears in the map")
-        x11 = set(_mask_rows(cols[b] & cols[b + 1]))
-        allowed = set(_mask_rows(cols[b + 1]))
+        x11 = set(_mask_rows(first & second))
+        allowed = set(_mask_rows(second))
         for i in sorted(mp):
             if (mp[i] == i) != (i in x11):
                 return PlanViolation(
@@ -360,9 +383,14 @@ def verify_plan(M: BinaryScheme, P: AssignmentPlan) -> PlanCheck:
     """Check a plan against its scheme.
 
     Valid means: at every boundary the map's domain is exactly the
-    riders of the earlier stage, it is injective into the riders of
-    the later stage, it fixes exactly the keep-riding rows, and every
-    receiver has ridden at most as many stages as its donor.
+    riders of the earlier stage, each listed once, it is injective
+    into the riders of the later stage, it fixes exactly the
+    keep-riding rows, and every receiver has ridden at most as many
+    stages as its donor.
+
+    The shape is checked on masks.  Only handovers can break the ride
+    counts, and only at a boundary where one does are the donors walked
+    in sorted order to name the first.
 
     Raises:
         ValueError: the plan does not have one map per boundary.
@@ -371,8 +399,13 @@ def verify_plan(M: BinaryScheme, P: AssignmentPlan) -> PlanCheck:
     if v is not None:
         return PlanCheck(False, v)
     masks = M.masks
-    for b in range(M.m - 1):
+    for b, pairs in enumerate(P.pairs):
         stages = (1 << (b + 1)) - 1  # columns 0..b
+        for i, j in pairs:
+            if i != j and (masks[j] & stages).bit_count() > (masks[i] & stages).bit_count():
+                break
+        else:
+            continue
         mp = P.mapping(b)
         for i in sorted(mp):
             given = (masks[i] & stages).bit_count()

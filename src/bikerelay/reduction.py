@@ -41,26 +41,33 @@ def reduce_scheme(M: BinaryScheme) -> tuple[BinaryScheme, int]:
     Row and column sums are unchanged and the result still decides
     optimal.
 
+    Only the rows that change at a boundary are visited: past it each
+    row runs on the tail of some row of M, so they are the holders of
+    the tails that change in M's own column masks.
+
     Raises:
         ValueError: M does not decide optimal.
     """
     verdict = decide_optimal(M)
     if not verdict.optimal:
         raise ValueError(f"scheme is not optimal ({verdict.reason})")
-    masks = list(M.masks)
+    masks, cols = list(M.masks), M.col_masks
+    tail = list(range(M.n))  # past the boundary, row i is M's row tail[i]
+    holder = list(range(M.n))  # the inverse: M's row o is now row holder[o]
     removed = 0
     for b in range(M.m - 1):
         head = (1 << (b + 1)) - 1  # columns 0..b
         by_count: dict[int, tuple[list[int], list[int]]] = {}
-        for i, x in enumerate(masks):
-            if (x >> b ^ x >> (b + 1)) & 1:  # a dropper or a taker
-                droppers, takers = by_count.setdefault((x & head).bit_count(), ([], []))
-                (droppers if x >> b & 1 else takers).append(i)
+        for i in sorted([holder[o] for o in _mask_rows(cols[b] ^ cols[b + 1])]):
+            droppers, takers = by_count.setdefault((masks[i] & head).bit_count(), ([], []))
+            (droppers if masks[i] >> b & 1 else takers).append(i)
         for droppers, takers in by_count.values():
             for i1, i2 in zip(droppers, takers):
                 x = (masks[i1] ^ masks[i2]) & ~head
                 masks[i1] ^= x
                 masks[i2] ^= x
+                tail[i1], tail[i2] = tail[i2], tail[i1]
+                holder[tail[i1]], holder[tail[i2]] = i1, i2
                 removed += 1
     return BinaryScheme._from_masks(tuple(masks), M.m), removed
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate
 from math import gcd, inf
+from operator import add
 from typing import IO
 
 from .optimality import AssignmentPlan, _structural_violation
@@ -204,7 +205,9 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
     Otherwise givers[j-1] maps each taker to the dropper whose bicycle
     they wait for, the takers are served in row order and drop r is
     when taker r's giver arrives.  Either way taker r leaves at the
-    later of their arrival and drop r.
+    later of their arrival and drop r.  The clocks advance by one map
+    over each traveller's ticks on the stage, and only the droppers and
+    takers change those ticks and the bicycle list at a post.
 
     Without a log the run stops at the first stall, or at the first
     post with more takers than droppers, and returns False.  With a
@@ -219,10 +222,7 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
     """
     cols, n, m = M.col_masks, M.n, M.m
     full = log is not None and log.full
-    # Each column's digits, row 0 first: bin gives '0b1' and then the
-    # digits from row n-1 down, with the 1 << n bit as a sentinel.
-    top = 1 << n
-    digits = [bin(col | top)[:2:-1] for col in cols]
+    step = [ride if cols[0] >> i & 1 else walk for i in range(n)]  # ticks on the current stage
     cur = [0] * n  # each traveller's tick at the current post
     if full:
         bike: list[int | None] = [None] * n
@@ -231,21 +231,26 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
         log.arrive.append(cur[:])
     for j in range(1, m + 1 if full else m):
         if full:
-            log.depart.append(cur[:])
+            log.depart.append(cur)  # cur is replaced below, never changed again
             log.bikes.append(bike)
-        for i, c in enumerate(digits[j - 1]):
-            cur[i] += ride if c == "1" else walk
+        cur = list(map(add, cur, step))
         if full:
             log.arrive.append(cur[:])
             if j == m:
                 break
-            held, bike = bike, [b if c == "1" else None for b, c in zip(bike, digits[j])]
         prev, col = cols[j - 1], cols[j]
-        takers = _mask_rows(col & ~prev)
+        droppers, takers = _mask_rows(prev & ~col), _mask_rows(col & ~prev)
+        for i in droppers:
+            step[i] = walk
+        for i in takers:
+            step[i] = ride
+        if full:
+            held, bike = bike, bike[:]
+            for i in droppers:
+                bike[i] = None
         if not takers:
             continue
         if givers is None:
-            droppers = _mask_rows(prev & ~col)
             if len(takers) > len(droppers):
                 if log is None:
                     return False

@@ -123,9 +123,11 @@ def test_cyclic_matrix_rejects_bad_arguments():
 
 
 def test_transpose_cyclic_is_the_transpose():
-    for n in range(1, 10):
+    for n in range(1, 65):
         for k in range(0, n + 1):
-            assert transpose_cyclic_matrix(n, k) == transpose(cyclic_matrix(n, k))
+            T, C = transpose_cyclic_matrix(n, k), cyclic_matrix(n, k)
+            assert T == transpose(C), (n, k)
+            assert T.col_masks == C.masks, (n, k)
 
 
 def test_circulant_layout():

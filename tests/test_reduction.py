@@ -1,20 +1,27 @@
 import random
+from fractions import Fraction
 from math import ceil, gcd
 
 import pytest
 
 from bikerelay import (
     BinaryScheme,
+    SpeedModel,
     bicycle_itineraries,
+    block_compose,
     build_assignment_plan,
+    circulant_matrix,
+    cohort_profile,
     count_excess_handovers,
     count_rides,
     cyclic_matrix,
     decide_optimal,
+    default_block_cells,
     enumerate_uniform,
     parse_scheme,
     random_uniform,
     reduce_scheme,
+    simulate,
     transpose_cyclic_matrix,
     uniformity,
 )
@@ -196,3 +203,31 @@ def test_reduction_keeps_uniformity_class(handover_free):
     R, _ = reduce_scheme(T)
     a, b = uniformity(R), uniformity(handover_free)
     assert (a.is_uniform, a.k, a.l) == (b.is_uniform, b.k, b.l)
+
+
+def test_reduction_keeps_the_group_motion():
+    # The module's promise: the reduced scheme moves the group exactly as
+    # the original does, so the same positions are held at every moment.
+    schemes = []
+    for n in (6, 12, 24, 48):
+        k = n // 3
+        schemes += [cyclic_matrix(n, k), circulant_matrix(n, k), transpose_cyclic_matrix(n, k)]
+        schemes.append(transpose_cyclic_matrix(n, n // 4 + 1))
+    schemes += [
+        block_compose(n, k, r, default_block_cells(n, k, r))
+        for n, k, r in ((12, 4, 2), (24, 16, 3), (48, 12, 1))
+    ]
+    swapped = 0
+    for M in schemes:
+        R, swaps = reduce_scheme(M)
+        swapped += swaps > 0
+        assert R.col_masks == BinaryScheme(R.rows).col_masks
+        for ratio in (Fraction(3, 2), Fraction(2), Fraction(10)):
+            speeds = SpeedModel(1, ratio)
+            a, b = simulate(M, speeds), simulate(R, speeds)
+            assert b.makespan == a.makespan
+            assert cohort_profile(b) == cohort_profile(a)
+            assert [sorted(p) for p in zip(*b.post_arrival_times)] == [
+                sorted(p) for p in zip(*a.post_arrival_times)
+            ], (M, ratio)
+    assert swapped >= 6
