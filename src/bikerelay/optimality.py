@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Mapping
 
 from .scheme import BinaryScheme, _mask_rows, uniformity
@@ -318,56 +319,72 @@ def build_assignment_plan(
     return AssignmentPlan.from_maps(maps)
 
 
+def _row_key(x: object) -> object:
+    """x if it is a row index (an integer, in the operator.index sense), else (x,), no row."""
+    try:
+        index(x)
+    except TypeError:
+        return (x,)
+    return x
+
+
+def _entry(key: object) -> object:
+    """The plan entry behind a _row_key."""
+    return key[0] if type(key) is tuple else key
+
+
 def _structural_violation(M: BinaryScheme, P: AssignmentPlan) -> PlanViolation | None:
     """Domain/identity/range/injectivity checks, lowest boundary first.
 
-    A boundary passes on masks: donors C[b], fixed points C[b] & C[b+1],
-    receivers within C[b+1], and as many of each as pairs.  Any other is
-    scanned row by row to name its violation, a repeated donor first.
+    Only an integer names a row; 3.0 and "3" name none.  A boundary passes
+    on masks: donors C[b], fixed points C[b] & C[b+1], receivers within
+    C[b+1], as many of each as pairs, and no entry negative.  Any other
+    is scanned row by row to name its violation, a repeated donor first.
     """
     if P.boundaries != M.m - 1:
         raise ValueError(
             f"plan covers {P.boundaries} boundaries, scheme has {M.m - 1}"
         )
     cols = M.col_masks
-    bit = {i: 1 << i for i in range(M.n)}
+    bit = [1 << i for i in range(M.n)]  # a list takes only integer indices, and wraps negative ones
     for b, pairs in enumerate(P.pairs):
         first, second = cols[b], cols[b + 1]
-        donors = receivers = fixed = 0
+        donors = receivers = fixed = signs = 0
         try:
             for i, j in pairs:
                 donors |= bit[i]
                 receivers |= bit[j]
+                signs |= i | j  # negative once an entry is
                 if i == j:
                     fixed |= bit[i]
-        except (KeyError, TypeError, ValueError):  # an entry that is no pair of rows
-            donors = -1
-        if (donors == first and fixed == first & second and not receivers & ~second
+        except (IndexError, TypeError, ValueError):  # an entry that is no pair of rows
+            signs = -1
+        if (signs >= 0 and donors == first and fixed == first & second and not receivers & ~second
                 and donors.bit_count() == receivers.bit_count() == len(pairs)):
             continue
-        mp = P.mapping(b)
+        mp = dict(tuple(map(_row_key, pair)) for pair in pairs)
         if len(mp) != len(pairs):
-            rows = [i for i, _ in pairs]
-            i = min(i for i in mp if rows.count(i) > 1)
-            return PlanViolation(b, "domain", i, None, f"row {i} has {rows.count(i)} map entries")
+            rows = [_row_key(i) for i, _ in pairs]
+            i = min((i for i in mp if rows.count(i) > 1), key=_entry)
+            return PlanViolation(b, "domain", _entry(i), None, f"row {_entry(i)} has {rows.count(i)} map entries")
         need = set(_mask_rows(first))
         have = set(mp)
         for i in sorted(need - have):
             return PlanViolation(b, "domain", i, None, f"row {i} rides stage {b} but has no map entry")
-        for i in sorted(have - need):
-            return PlanViolation(b, "domain", i, mp[i], f"row {i} does not ride stage {b} yet appears in the map")
+        for i in sorted(have - need, key=_entry):
+            i, j = _entry(i), _entry(mp[i])
+            return PlanViolation(b, "domain", i, j, f"row {i} does not ride stage {b} yet appears in the map")
         x11 = set(_mask_rows(first & second))
         allowed = set(_mask_rows(second))
         for i in sorted(mp):
+            j = _entry(mp[i])
             if (mp[i] == i) != (i in x11):
                 return PlanViolation(
-                    b, "identity", i, mp[i],
+                    b, "identity", i, j,
                     "a row keeps its bicycle exactly when it rides both stages",
                 )
             if mp[i] not in allowed:
-                return PlanViolation(
-                    b, "range", i, mp[i], f"row {mp[i]} does not ride stage {b + 1}"
-                )
+                return PlanViolation(b, "range", i, j, f"row {j} does not ride stage {b + 1}")
         seen: dict[int, int] = {}
         for i in sorted(mp):
             if mp[i] in seen:
@@ -388,9 +405,8 @@ def verify_plan(M: BinaryScheme, P: AssignmentPlan) -> PlanCheck:
     keep-riding rows, and every receiver has ridden at most as many
     stages as its donor.
 
-    The shape is checked on masks.  Only handovers can break the ride
-    counts, and only at a boundary where one does are the donors walked
-    in sorted order to name the first.
+    The shape is checked on masks; then one pass over each boundary's
+    handovers names the lowest donor whose receiver has ridden more.
 
     Raises:
         ValueError: the plan does not have one map per boundary.
@@ -401,24 +417,16 @@ def verify_plan(M: BinaryScheme, P: AssignmentPlan) -> PlanCheck:
     masks = M.masks
     for b, pairs in enumerate(P.pairs):
         stages = (1 << (b + 1)) - 1  # columns 0..b
+        worst = None
         for i, j in pairs:
             if i != j and (masks[j] & stages).bit_count() > (masks[i] & stages).bit_count():
-                break
-        else:
-            continue
-        mp = P.mapping(b)
-        for i in sorted(mp):
-            given = (masks[i] & stages).bit_count()
-            taken = (masks[mp[i]] & stages).bit_count()
-            if taken > given:
-                return PlanCheck(
-                    False,
-                    PlanViolation(
-                        b, "partial-sum", i, mp[i],
-                        f"receiver {mp[i]} has ridden {taken} stages, "
-                        f"donor {i} only {given}",
-                    ),
-                )
+                if worst is None or i < worst[0]:
+                    worst = i, j
+        if worst is not None:
+            i, j = worst
+            given, taken = (masks[i] & stages).bit_count(), (masks[j] & stages).bit_count()
+            detail = f"receiver {j} has ridden {taken} stages, donor {i} only {given}"
+            return PlanCheck(False, PlanViolation(b, "partial-sum", i, j, detail))
     return PlanCheck(True, None)
 
 

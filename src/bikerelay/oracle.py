@@ -1,16 +1,16 @@
 """Ground-truth machinery for checking the decision algorithm.
 
 enumerate_uniform counts the n x n matrices with all line sums k on
-row classes, and lists them in labelled order, deciding each verdict
-on the column prefix with decide_optimal's boundary test (_is_dyck_at
-over _scanned_boundaries).  The checks on that verdict are
-deliberately independent of the word-based decision: cross_validate
-tests every matrix for a first-come run with no stall, post by post on
-the ride counts, in the same descent and once per column prefix, and
-runs simulate's executor at each speed ratio on the matrices where
-that test and the words disagree; determinants come from fraction-free
-elimination, and the cyclic family's structure claims are verified
-on its row and column masks.
+row classes, and lists its first non-optimal ones in labelled order,
+deciding each verdict on the column prefix with decide_optimal's
+boundary test (_is_dyck_at over _scanned_boundaries).  The checks on
+that verdict are deliberately independent of the word-based decision:
+cross_validate tests every matrix for a first-come run with no stall,
+post by post on the ride counts, in the same descent and once per
+column prefix, and runs simulate's executor at each speed ratio on the
+matrices where that test and the words disagree; determinants come
+from fraction-free elimination, and the cyclic family's structure
+claims are verified on its row and column masks.
 """
 
 from __future__ import annotations
@@ -36,7 +36,13 @@ DEFAULT_SPEED_RATIOS = (Fraction(3, 2), Fraction(2), Fraction(10))
 
 @dataclass(frozen=True)
 class EnumerationReport:
-    """Census of the n x n matrices with all line sums k."""
+    """Census of the n x n matrices with all line sums k.
+
+    minimal_nonoptimal_examples are the first non-optimal matrices in
+    the labelled order of the descent (columns left to right, supports
+    in lexicographic order), not the paper's minimal non-optimal
+    members.
+    """
 
     n: int
     k: int
@@ -59,31 +65,19 @@ class Mismatch:
     stall_free: tuple[bool, ...]
 
 
-def enumerate_uniform(
-    n: int,
-    k: int,
-    visitor: Callable[[BinaryScheme, bool], None] | None = None,
-    *,
-    max_examples: int = 4,
-) -> EnumerationReport:
+def enumerate_uniform(n: int, k: int, *, max_examples: int = 4) -> EnumerationReport:
     """Census of the n x n binary matrices whose rows and columns all sum to k.
 
     The counts come from _class_census, on row classes with binomial
     weights; the examples are the first max_examples non-optimal
-    matrices in the labelled order of _descend, which also calls the
-    visitor, when given, once per matrix with (matrix, optimal flag).
-
-    Counting is never refused.  Listing the matrices one by one to a
-    visitor is refused beyond n = EXHAUSTIVE_GUARD: past it, every k
-    with a non-optimal matrix (3 <= k <= n-3, where a boundary is
-    scanned) has billions of matrices to list.
+    matrices in the labelled order of _descend.  Counting is never
+    refused.
 
     Raises:
-        ValueError: k out of range, a negative max_examples, or a
-            visitor with n beyond the exhaustive guard.
+        ValueError: k out of range, or a negative max_examples.
     """
     count = _class_census(n, k)
-    examples = _descend(n, k, visitor, max_examples, False, count)
+    examples = _descend(n, k, None, max_examples, count)
     total, optimal = count(0, True, (2 * k + 1,) * n)
     return EnumerationReport(n, k, total, optimal, total - optimal, tuple(examples))
 
@@ -95,11 +89,11 @@ def cross_validate(n: int, k: int) -> list[Mismatch]:
     counts and so at every speed ratio at once.  Each matrix where the
     test and the word verdict disagree runs through
     is_executable_without_stall at each of DEFAULT_SPEED_RATIOS and is
-    returned as a Mismatch with those flags, in the order
-    enumerate_uniform visits the matrices.  An empty list is the
-    expected outcome; a Mismatch whose flags all equal dyck_optimal
-    points at the prefix test instead.  Every matrix is decided on its
-    own, so the exhaustive guard applies.
+    returned as a Mismatch with those flags, in labelled order.  An
+    empty list is the expected outcome; a Mismatch whose flags all
+    equal dyck_optimal points at the prefix test instead.  Every matrix
+    is decided on its own, so n is refused beyond EXHAUSTIVE_GUARD: past
+    it, every k with a non-optimal matrix has billions to list.
     """
     mismatches: list[Mismatch] = []
 
@@ -107,7 +101,7 @@ def cross_validate(n: int, k: int) -> list[Mismatch]:
         stall_free = (is_executable_without_stall(M, SpeedModel(1, r)) for r in DEFAULT_SPEED_RATIOS)
         mismatches.append(Mismatch(M, ok, tuple(stall_free)))
 
-    _descend(n, k, execute, 0, probe=True)
+    _descend(n, k, execute)
     return mismatches
 
 
@@ -162,8 +156,7 @@ def _descend(
     n: int,
     k: int,
     visitor: Callable[[BinaryScheme, bool], None] | None,
-    max_examples: int,
-    probe: bool,
+    max_examples: int = 0,
     count: Callable[[int, bool, tuple[int, ...]], tuple[int, int]] | None = None,
 ) -> list[BinaryScheme]:
     """The labelled descent behind enumerate_uniform and cross_validate.
@@ -172,19 +165,20 @@ def _descend(
     column b+1 tests boundary b on the ride counts k - cap if it is
     scanned and the prefix is still optimal.  The prefix is kept once,
     as caps, row masks and columns; depth n-2 finishes its children
-    with the forced last column.  Returns the first max_examples
-    non-optimal matrices; with no visitor, it enters an optimal child
-    only while examples are wanted and count finds non-optimal completions.
+    with the forced last column.  With no visitor, it returns the first
+    max_examples non-optimal matrices, entering an optimal child only
+    while count finds non-optimal completions.
 
-    With probe, every matrix is also tested for a greedy first-come
+    With a visitor, every matrix is also tested for a greedy first-come
     run with no stall, on the column prefix.  Until the first stall,
     traveller i reaches post j at tick j*walk - rides*(walk - ride),
     rides = k - cap.  A ride is shorter than a walk, so at every speed
     ratio arrival order is cap order, and the test at post j passes
     iff each dropper's cap is at most the matching taker's, both sorted
     (a post has as many of each).  A failure is final: the run stops
-    there.  The visitor then gets (matrix, word verdict) only where the
-    test and the word verdict disagree; the others are never built.
+    there.  The visitor gets (matrix, word verdict) only where the test
+    and the word verdict disagree; the others are never built.  Every
+    matrix is placed, so n is bounded by EXHAUSTIVE_GUARD.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"bad parameters n={n}, k={k}")
@@ -262,15 +256,11 @@ def _descend(
                 taken = [c for c, b in rest if col & b]
                 child_runs = all(map(le, dropped, taken))
             if finishing:
-                # Shown: every matrix, or with probe those the test disputes.
-                wanted = not child_ok and len(examples) < max_examples
-                shown = visitor is not None and (not probe or child_runs != child_ok)
-                if wanted or shown:
-                    M = build(col)
-                    if wanted:
-                        examples.append(M)
-                    if shown:
-                        visitor(M, child_ok)
+                if visitor is None:
+                    if not child_ok:
+                        examples.append(build(col))
+                elif child_runs != child_ok:
+                    visitor(build(col), child_ok)
                 continue
             if visitor is None and child_ok:
                 classes = (2 * c - 2 if col >> i & 1 else 2 * c + 1 for i, c in enumerate(caps))
@@ -287,12 +277,8 @@ def _descend(
                 caps[i] += 1
                 masks[i] ^= bit
 
-    if n == 1:
-        # The one matrix [k]: optimal, with no post to probe.
-        if visitor is not None and not probe:
-            visitor(BinaryScheme._from_masks((k,), 1, (k,)), True)
-    else:
-        place(0, True, probe)
+    if n > 1:  # the one 1 x 1 matrix [k] is optimal, with no post to probe
+        place(0, True, visitor is not None)
     return examples
 
 

@@ -231,13 +231,7 @@ def test_c10_block_composition_is_optimal_and_synchronised():
 
 
 def test_c11_stalls_never_hit_the_first_two_rides():
-    examples = []
-
-    def visit(M, optimal):
-        if not optimal:
-            examples.append(M)
-
-    enumerate_uniform(6, 3, visit)
+    examples = enumerate_uniform(6, 3, max_examples=9560).minimal_nonoptimal_examples
     assert len(examples) == 9560
     ordinals = {first_stall_ride_index(M) for M in examples}
     assert all(o is not None and o >= 3 for o in ordinals)

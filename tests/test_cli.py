@@ -338,7 +338,7 @@ def test_enum_cross_validate_only_appends_its_two_keys(n):
 def test_cross_validation_reports_a_planted_mismatch(monkeypatch):
     # With every boundary word taken to be Dyck, the word verdict calls
     # every (6,3) matrix optimal, so the ones that stall are mismatches,
-    # listed in visiting order with all three executions stalling.
+    # listed in labelled order with all three executions stalling.
     stalling = enumerate_uniform(6, 3, max_examples=9560).minimal_nonoptimal_examples
     monkeypatch.setattr(oracle, "_is_dyck_at", lambda *args: True)
     results = []

@@ -22,6 +22,8 @@ from bikerelay import (
 from bikerelay import generators
 from bikerelay.generators import _check_nk
 
+from reference_listing import reference_enumerate
+
 
 def reference_cyclic_matrix(n, k):
     _check_nk(n, k)
@@ -330,6 +332,6 @@ def test_single_ride_recognition_equals_the_row_reference():
 
     for n in range(1, 6):
         for k in range(n + 1):
-            enumerate_uniform(n, k, visit)
+            reference_enumerate(n, k, visit)
     assert len(seen) == 4482
     assert 0 < seen.count(True) < len(seen)

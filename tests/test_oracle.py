@@ -1,6 +1,5 @@
 import dataclasses
 import random
-from itertools import combinations
 from operator import gt
 
 import pytest
@@ -9,13 +8,11 @@ from hypothesis import strategies as st
 
 from bikerelay import (
     BinaryScheme,
-    EnumerationReport,
     Mismatch,
     SpeedModel,
     canonical_word,
     cross_validate,
     cyclic_matrix,
-    decide_optimal,
     determinant_exact,
     enumerate_uniform,
     is_dyck,
@@ -27,6 +24,8 @@ from bikerelay import oracle
 from bikerelay.oracle import DEFAULT_SPEED_RATIOS
 from bikerelay.simulate import _Log, _execute, _stage_ticks
 
+from reference_listing import reference_enumerate
+
 # Counts of n x n binary matrices with all line sums k, by independent
 # per-column dynamic programming over row capacity multisets.
 UNIFORM_COUNTS = {
@@ -34,59 +33,6 @@ UNIFORM_COUNTS = {
     4: [1, 24, 90, 24, 1],
     5: [1, 120, 2040, 2040, 120, 1],
 }
-
-
-def reference_enumerate(n, k, visitor=None, *, max_examples=4):
-    """enumerate_uniform as it was before the per-prefix decision.
-
-    Every leaf is built and decided by decide_optimal on its own.
-    """
-    caps = [k] * n
-    masks = [0] * n
-    cols = []
-    total = optimal = 0
-    examples = []
-
-    def place(j):
-        nonlocal total, optimal
-        if j == n:
-            M = BinaryScheme._from_masks(tuple(masks), n, tuple(cols))
-            verdict = decide_optimal(M)
-            total += 1
-            if verdict.optimal:
-                optimal += 1
-            elif len(examples) < max_examples:
-                examples.append(M)
-            if visitor is not None:
-                visitor(M, verdict.optimal)
-            return
-        cols_left = n - j
-        forced = [i for i in range(n) if caps[i] == cols_left]
-        if len(forced) > k:
-            return
-        free = [i for i in range(n) if 0 < caps[i] < cols_left]
-        need = k - len(forced)
-        if need > len(free):
-            return
-        bit = 1 << j
-        for combo in combinations(free, need):
-            support = forced + list(combo)
-            col = 0
-            for i in support:
-                caps[i] -= 1
-                masks[i] |= bit
-                col |= 1 << i
-            cols.append(col)
-            place(j + 1)
-            cols.pop()
-            for i in support:
-                caps[i] += 1
-                masks[i] ^= bit
-
-    place(0)
-    return EnumerationReport(
-        n, k, total, optimal, total - optimal, minimal_nonoptimal_examples=tuple(examples)
-    )
 
 
 def full_scan(M):
@@ -115,41 +61,34 @@ def full_scan(M):
 MAX_EXAMPLES = (0, 1, 4, 50)
 
 
-def assert_enumeration_equals_reference(n, k, visitor_examples):
-    """Reports and visitor sequences of enumerate_uniform equal the reference's.
+def assert_enumeration_equals_reference(n, k):
+    """Reports of enumerate_uniform equal the reference's.
 
     The reference runs once, with a visitor and max_examples=50; its
     report for fewer examples keeps the first non-optimal matrices in
-    visiting order, which the visitor sequence names.  Returns the
-    visitor sequence.
+    visiting order, which the visitor sequence names.  Asking for every
+    non-optimal matrix pins the descent's verdict on each matrix.
+    Returns the visitor sequence.
     """
     seen = []
     ref = reference_enumerate(n, k, lambda M, ok: seen.append((M, ok)), max_examples=50)
     nonoptimal = [M for M, ok in seen if not ok]
     assert ref.minimal_nonoptimal_examples == tuple(nonoptimal[:50])
-    for e in MAX_EXAMPLES:
+    for e in (*MAX_EXAMPLES, len(nonoptimal)):
         want = dataclasses.replace(ref, minimal_nonoptimal_examples=tuple(nonoptimal[:e]))
         assert enumerate_uniform(n, k, max_examples=e) == want, (n, k, e)
-    for e in visitor_examples:
-        got = []
-        rep = enumerate_uniform(n, k, lambda M, ok: got.append((M, ok)), max_examples=e)
-        assert rep == dataclasses.replace(
-            ref, minimal_nonoptimal_examples=tuple(nonoptimal[:e])
-        ), (n, k, e)
-        assert got == seen, (n, k, e)
-        assert all(type(ok) is bool for _, ok in got)
     return seen
 
 
 def test_enumeration_equals_the_per_leaf_reference_up_to_n5():
     for n in range(1, 6):
         for k in range(n + 1):
-            assert_enumeration_equals_reference(n, k, MAX_EXAMPLES)
+            assert_enumeration_equals_reference(n, k)
 
 
 @pytest.mark.parametrize("k", range(7))
 def test_enumeration_equals_the_per_leaf_reference_at_n6(k):
-    seen = assert_enumeration_equals_reference(6, k, (4,))
+    seen = assert_enumeration_equals_reference(6, k)
     if k == 3:
         # The prefix verdict also equals a scan of every boundary.
         assert sum(not ok for _, ok in seen) == 9560
@@ -241,19 +180,6 @@ def test_enumeration_census(n):
         assert rep.optimal_count + rep.nonoptimal_count == want
 
 
-def test_enumeration_visits_every_matrix_once():
-    seen = set()
-
-    def visit(M, optimal):
-        assert isinstance(M, BinaryScheme)
-        assert optimal is True
-        seen.add(M.rows)
-
-    rep = enumerate_uniform(4, 2, visit)
-    assert len(seen) == 90 == rep.total_uniform
-    assert all(set(sum(rows, ())) <= {0, 1} for rows in seen)
-
-
 def test_enumeration_collects_limited_examples():
     rep = enumerate_uniform(6, 3, max_examples=2)
     assert rep.nonoptimal_count == 9560
@@ -261,16 +187,12 @@ def test_enumeration_collects_limited_examples():
 
 
 def test_enumeration_guard():
-    # Counting is never refused; listing every matrix beyond n = 7 is.
+    # Counting is never refused; listing every matrix to cross-validate
+    # it is refused beyond n = 7, and allowed at n = 7.
     assert enumerate_uniform(8, 4).total_uniform == 116963796250
-    seen = []
-    with pytest.raises(ValueError, match="listing every matrix"):
-        enumerate_uniform(8, 4, lambda M, ok: seen.append(M))
     with pytest.raises(ValueError, match="listing every matrix"):
         cross_validate(8, 4)
-    assert seen == []
-    rep = enumerate_uniform(7, 1, lambda M, ok: seen.append(M))
-    assert rep.total_uniform == len(seen) == 5040
+    assert cross_validate(7, 1) == []
 
 
 def test_negative_max_examples_is_refused():
@@ -325,7 +247,8 @@ def test_cross_validate_small():
 def reference_cross_validate(n, k):
     """cross_validate as it was before the per-prefix probe.
 
-    Every matrix is built and executed greedily at each ratio.
+    Every matrix is listed by the per-leaf reference, which decides it
+    with decide_optimal, and executed greedily at each ratio.
     """
     ticks = [_stage_ticks(SpeedModel(1, r)) for r in DEFAULT_SPEED_RATIOS]
     mismatches = []
@@ -335,7 +258,7 @@ def reference_cross_validate(n, k):
         if any(flag != dyck_optimal for flag in flags):
             mismatches.append(Mismatch(M, dyck_optimal, flags))
 
-    enumerate_uniform(n, k, probe)
+    reference_enumerate(n, k, probe)
     return mismatches
 
 
@@ -344,27 +267,14 @@ def test_cross_validation_equals_the_per_leaf_executions_up_to_n5(monkeypatch):
     # a matrix is listed unless all three runs stall, and equal lists
     # mean equal flags on every matrix.  No n <= 5 scans a boundary (see
     # _scanned_boundaries): there the word verdict stays True, and equal
-    # lists show that neither side finds a stall.  The stalling side is
-    # seen at (6,3) by the planted-mismatch test in test_cli.py.
+    # lists show that neither side finds a stall; the reference's verdict,
+    # decide_optimal's, is out of the patch's reach, and True there too.
+    # The stalling side is seen at (6,3) by the planted-mismatch test in
+    # test_cli.py.
     monkeypatch.setattr(oracle, "_is_dyck_at", lambda *args: False)
     for n in range(1, 6):
         for k in range(n + 1):
             assert cross_validate(n, k) == reference_cross_validate(n, k), (n, k)
-
-
-def test_the_probe_descent_keeps_the_census_examples():
-    # cross_validate drops the examples of its descent.  With the probe
-    # on, every matrix is placed and none is skipped by the class
-    # census, so equal examples show that the census-guided search finds
-    # the same first non-optimal matrices, in the same order.
-    for n in range(1, 7):
-        for k in range(n + 1):
-            for e in (0, 1, 4):
-                shown = []
-                examples = oracle._descend(n, k, lambda M, ok: shown.append(M), e, probe=True)
-                want = enumerate_uniform(n, k, max_examples=e).minimal_nonoptimal_examples
-                assert tuple(examples) == want, (n, k, e)
-                assert shown == [], (n, k, e)
 
 
 def test_the_probe_alone_finds_every_stall_in_order(monkeypatch):
@@ -375,7 +285,7 @@ def test_the_probe_alone_finds_every_stall_in_order(monkeypatch):
     stalling = enumerate_uniform(6, 3, max_examples=10_000).minimal_nonoptimal_examples
     monkeypatch.setattr(oracle, "_is_dyck_at", lambda *args: True)
     shown = []
-    assert oracle._descend(6, 3, lambda M, ok: shown.append((M, ok)), 0, probe=True) == []
+    assert oracle._descend(6, 3, lambda M, ok: shown.append((M, ok))) == []
     assert len(shown) == 9560
     assert shown == [(M, True) for M in stalling]
 

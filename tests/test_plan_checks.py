@@ -4,9 +4,11 @@ Each corrupted plan goes through all four entry points that check a
 plan: verify_plan, simulate(policy="plan"), bicycle_itineraries and
 complementary_plan.  The expected outcome comes from the scan the
 checks were first written as (sets and sorts at every boundary, then
-the ride counts of every pair); only a donor listed twice is judged
-differently, since that scan read the pairs through a dict and let the
-last entry win.
+the ride counts of every pair).  Two kinds of plan are judged
+differently, since that scan read the pairs through a dict: a donor
+listed twice, where it let the last entry win, and an entry such as 3.0
+that equals a row index without being an integer, which it took for
+that row.
 """
 
 import pytest
@@ -182,6 +184,19 @@ def test_a_bool_donor_is_named_as_the_plan_writes_it():
     assert v == PlanViolation(2, "partial-sum", 0, 3, "receiver 3 has ridden 2 stages, donor False only 1")
 
 
+def assert_refused(M, P, want):
+    """Every entry point that checks a plan names the violation want."""
+    # repr tells 4.0 from 4, which compare equal.
+    assert repr(verify_plan(M, P)) == repr(PlanCheck(False, want))
+    with pytest.raises(ValueError) as exc:
+        simulate(M, HALF, policy="plan", plan=P)
+    assert str(exc.value) == f"malformed plan: {want}"
+    for use in (bicycle_itineraries, complementary_plan):
+        with pytest.raises(ValueError) as exc:
+            use(M, P)
+        assert str(exc.value) == f"plan is not valid for the scheme: {want}"
+
+
 @pytest.mark.parametrize(
     "M, b, pairs, row, count",
     [
@@ -196,12 +211,17 @@ def test_a_bool_donor_is_named_as_the_plan_writes_it():
 )
 def test_a_repeated_donor_is_refused(M, b, pairs, row, count):
     P = replace(build_assignment_plan(M), b, pairs)
-    want = PlanViolation(b, "domain", row, None, f"row {row} has {count} map entries")
-    assert verify_plan(M, P) == PlanCheck(False, want)
-    with pytest.raises(ValueError) as exc:
-        simulate(M, HALF, policy="plan", plan=P)
-    assert str(exc.value) == f"malformed plan: {want}"
-    for use in (bicycle_itineraries, complementary_plan):
-        with pytest.raises(ValueError) as exc:
-            use(M, P)
-        assert str(exc.value) == f"plan is not valid for the scheme: {want}"
+    assert_refused(M, P, PlanViolation(b, "domain", row, None, f"row {row} has {count} map entries"))
+
+
+@pytest.mark.parametrize(
+    "pairs, want",
+    [
+        # 3.0 equals row 3 but is no integer, so row 3 has no map entry.
+        (((2, 2), (3.0, 0), (5, 4)), (1, "domain", 3, None, "row 3 rides stage 1 but has no map entry")),
+        (((2.0, 2.0), (3, 0), (5, 4)), (1, "domain", 2, None, "row 2 rides stage 1 but has no map entry")),
+        (((2, 2), (3, 0), (5, 4.0)), (1, "range", 5, 4.0, "row 4.0 does not ride stage 2")),
+    ],
+)
+def test_a_row_that_is_no_integer_is_no_row(pairs, want):
+    assert_refused(SCHEME, replace(CANONICAL, 1, pairs), PlanViolation(*want))

@@ -17,7 +17,6 @@ from bikerelay import (
     cyclic_matrix,
     decide_optimal,
     default_block_cells,
-    enumerate_uniform,
     parse_scheme,
     random_uniform,
     reduce_scheme,
@@ -25,6 +24,8 @@ from bikerelay import (
     transpose_cyclic_matrix,
     uniformity,
 )
+
+from reference_listing import reference_enumerate
 
 
 def reference_reduce(M: BinaryScheme) -> tuple[BinaryScheme, int]:
@@ -146,7 +147,7 @@ def test_excess_count_equals_the_reduction_swap_count():
     schemes = []
     for n in range(1, 6):
         for k in range(n + 1):
-            enumerate_uniform(n, k, lambda M, optimal: schemes.append(M))
+            reference_enumerate(n, k, lambda M, optimal: schemes.append(M))
     assert len(schemes) == 4482  # every uniform matrix with n <= 5
     for n in range(1, 26):
         for k in range(1, n + 1):

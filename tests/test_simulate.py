@@ -37,6 +37,8 @@ from bikerelay.optimality import _structural_violation
 from bikerelay.oracle import DEFAULT_SPEED_RATIOS
 from bikerelay.simulate import HandoverEvent, SimulationTrace, StallEvent
 
+from reference_listing import reference_enumerate
+
 HALF = SpeedModel(1, 2)
 # Non-integer speeds on both sides, so times and positions have
 # unrelated denominators.
@@ -622,7 +624,7 @@ def _cohort_reference_cases():
             M = transpose_cyclic_matrix(n, k)
             yield simulate(BinaryScheme([r[:-1] + (0,) for r in M.rows]), ODD)
     five_two = []
-    enumerate_uniform(5, 2, lambda M, optimal: five_two.append(M))
+    reference_enumerate(5, 2, lambda M, optimal: five_two.append(M))
     for M in five_two:
         yield simulate(M, ODD)
 
