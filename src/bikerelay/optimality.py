@@ -251,7 +251,8 @@ def decide_optimal(
     The scan runs on column masks: the droppers at boundary b are
     C[b] & ~C[b+1], the takers C[b+1] & ~C[b], and the ride counts so
     far are kept as bit slices.  The word itself is built only for the
-    failing boundary.
+    failing boundary, from the same masks and slices, so no row mask
+    is read.
 
     Under DROP_FIRST, boundaries 0, 1, m-3, m-2 are not scanned and the
     whole scan is dropped when the common row sum l satisfies l <= 2 or
@@ -281,9 +282,15 @@ def decide_optimal(
             slices.append(carry)
         if b < scanned.start:
             continue
-        take = second & ~first
-        if not _is_dyck_at(first & ~second, take, [take, *slices] if take_first else slices):
-            word = "".join("a" if first >> i & 1 else "b" for i in _word(M, b, take_first))
+        drop, take = first & ~second, second & ~first
+        ranks = [take, *slices] if take_first else slices
+        if not _is_dyck_at(drop, take, ranks):
+            # The movers split fully on the ranks, top slice first, are the
+            # groups of equal rank, highest first: droppers, then takers.
+            groups = [drop | take]
+            for s in reversed(ranks):
+                groups = [part for g in groups for part in (g & s, g & ~s) if part]
+            word = "".join("a" * (g & drop).bit_count() + "b" * (g & take).bit_count() for g in groups)
             return Verdict(False, uni.k, "non-dyck", b, word)
     return Verdict(True, uni.k, "optimal")
 
@@ -333,13 +340,21 @@ def _entry(key: object) -> object:
     return key[0] if type(key) is tuple else key
 
 
+def _order(key: object) -> tuple:
+    """A total order on _row_keys: rows by index first, then other entries by type name and repr."""
+    return (1, type(key[0]).__name__, repr(key[0])) if type(key) is tuple else (0, index(key), "")
+
+
 def _structural_violation(M: BinaryScheme, P: AssignmentPlan) -> PlanViolation | None:
     """Domain/identity/range/injectivity checks, lowest boundary first.
 
     Only an integer names a row; 3.0 and "3" name none.  A boundary passes
     on masks: donors C[b], fixed points C[b] & C[b+1], receivers within
     C[b+1], as many of each as pairs, and no entry negative.  Any other
-    is scanned row by row to name its violation, a repeated donor first.
+    is scanned row by row to name its violation: first an entry that is
+    no sequence of hashable values, such as ([1], 0), then a repeated
+    donor.  Where several entries break one rule, rows come first, then
+    the other entries by type name and repr.
     """
     if P.boundaries != M.m - 1:
         raise ValueError(
@@ -362,16 +377,21 @@ def _structural_violation(M: BinaryScheme, P: AssignmentPlan) -> PlanViolation |
         if (signs >= 0 and donors == first and fixed == first & second and not receivers & ~second
                 and donors.bit_count() == receivers.bit_count() == len(pairs)):
             continue
+        for pair in pairs:
+            try:
+                hash(tuple(pair))  # as a dict reads a pair: a sequence of hashable values
+            except TypeError:
+                return PlanViolation(b, "domain", None, None, f"entry {pair!r} cannot be read as a pair of rows")
         mp = dict(tuple(map(_row_key, pair)) for pair in pairs)
         if len(mp) != len(pairs):
             rows = [_row_key(i) for i, _ in pairs]
-            i = min((i for i in mp if rows.count(i) > 1), key=_entry)
+            i = min((i for i in mp if rows.count(i) > 1), key=_order)
             return PlanViolation(b, "domain", _entry(i), None, f"row {_entry(i)} has {rows.count(i)} map entries")
         need = set(_mask_rows(first))
         have = set(mp)
         for i in sorted(need - have):
             return PlanViolation(b, "domain", i, None, f"row {i} rides stage {b} but has no map entry")
-        for i in sorted(have - need, key=_entry):
+        for i in sorted(have - need, key=_order):
             i, j = _entry(i), _entry(mp[i])
             return PlanViolation(b, "domain", i, j, f"row {i} does not ride stage {b} yet appears in the map")
         x11 = set(_mask_rows(first & second))

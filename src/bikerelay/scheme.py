@@ -8,12 +8,13 @@ stages, and "boundary b" refers to the staging post between columns b
 and b+1 (0-based everywhere).
 
 A scheme is stored as one Python int per row, its row mask: bit j of
-masks[i] is entry (i, j).  The column masks (bit i of col_masks[j] is
-entry (i, j)), the row tuples and the line sums are views derived from
-the row masks on first use and kept from then on.  A ride count up to
-a boundary is a masked bit count, and the optimality decision works on
-whole columns at once, so no per-entry Python loop is needed to parse
-or decide a scheme.
+masks[i] is entry (i, j), or per column: bit i of col_masks[j] is entry
+(i, j).  The other masks, the row tuples and the line sums are views
+derived on first use and kept from then on.  A parsed scheme holds its
+column masks and row sums only, so its row masks are a view too, built
+only by what reads them.  A ride count up to a boundary is a masked bit
+count, and the optimality decision works on whole columns at once, so
+no per-entry Python loop is needed to parse or decide a scheme.
 
 This module holds the matrix data model (validation, cached views), the
 text file format, and the structural transforms used by the rest of the
@@ -48,7 +49,7 @@ class SchemeFormatError(ValueError):
 
 
 class BinaryScheme:
-    """An immutable n x m 0/1 matrix stored as row bitmasks.
+    """An immutable n x m 0/1 matrix stored as row or column bitmasks.
 
     Attributes:
         masks: tuple of n ints; bit j of masks[i] is entry (i, j).
@@ -62,7 +63,9 @@ class BinaryScheme:
     rows, col_masks, row_sums and col_sums are views: each is computed
     from masks the first time it is read and stored in its slot, so
     later reads are plain slot reads.  A scheme built from rows keeps
-    them as its rows view.
+    them as its rows view.  A parsed scheme holds col_masks and
+    row_sums, and masks is then a view as well, the transpose of
+    col_masks.
     """
 
     __slots__ = ("masks", "n", "m", "rows", "col_masks", "row_sums", "col_sums")
@@ -102,9 +105,21 @@ class BinaryScheme:
             _set(self, "col_masks", col_masks)
         return self
 
+    @classmethod
+    def _from_columns(cls, col_masks: tuple[int, ...], row_sums: tuple[int, ...]) -> "BinaryScheme":
+        """A scheme from its column masks and row sums, without validation; see _from_masks."""
+        self = object.__new__(cls)
+        _set(self, "col_masks", col_masks)
+        _set(self, "row_sums", row_sums)
+        _set(self, "n", len(row_sums))
+        _set(self, "m", len(col_masks))
+        return self
+
     def __getattr__(self, name):
         # Reached only while a view's slot is still empty.
-        if name == "rows":
+        if name == "masks":
+            value = _columns_of(self.col_masks, self.n)
+        elif name == "rows":
             value = _rows_of(self.masks, self.m)
         elif name == "col_masks":
             value = _columns_of(self.masks, self.m)
@@ -278,7 +293,8 @@ def parse_scheme(text: str) -> BinaryScheme:
         digits.append(bits)
     if len(digits) != n:
         raise SchemeFormatError(line + len(lines), f"expected {n} rows, got {len(digits)}")
-    return _from_digits("".join(digits)[::-1], m)
+    row_sums = tuple(bits.count("1") for bits in digits)
+    return BinaryScheme._from_columns(_text_columns("".join(digits)[::-1], m), row_sums)
 
 
 def _read_body(text: str, body: int, n: int, m: int) -> BinaryScheme | None:
@@ -291,24 +307,13 @@ def _read_body(text: str, body: int, n: int, m: int) -> BinaryScheme | None:
     # The length is checked first, so an absurd header allocates nothing.
     if len(text) - body != 2 * n * m or text[body + 1 :: 2] != (" " * (m - 1) + "\n") * n:
         return None
-    # Every digit once, last first.
+    # Every digit once, last first: row i is the run of m digits ending
+    # m*i digits from the end.
     r = text[-2 : body - 1 : -2]
-    if r.count("0") + r.count("1") != n * m:
+    row_sums = tuple(r.count("1", i, i + m) for i in range(len(r) - m, -1, -m))
+    if r.count("0") + sum(row_sums) != n * m:
         return None
-    return _from_digits(r, m)
-
-
-def _from_digits(r: str, m: int) -> BinaryScheme:
-    """The scheme whose digits, row after row with m to a row, are r reversed.
-
-    In r, row i is the run of m digits ending m*i digits from the end,
-    its mask in binary, highest bit first.
-    """
-    return BinaryScheme._from_masks(
-        tuple(int(r[i : i + m], 2) for i in range(len(r) - m, -1, -m)),
-        m,
-        _text_columns(r, m),
-    )
+    return BinaryScheme._from_columns(_text_columns(r, m), row_sums)
 
 
 def format_scheme(M: BinaryScheme, comment: str | None = None) -> str:
@@ -325,7 +330,7 @@ def format_scheme(M: BinaryScheme, comment: str | None = None) -> str:
 def uniformity(M: BinaryScheme) -> UniformityReport:
     """Report whether every column sums to one constant k and every row to one constant l."""
     ks = set(map(int.bit_count, M.col_masks))
-    ls = set(map(int.bit_count, M.masks))
+    ls = set(M.row_sums)
     if len(ks) == 1 and len(ls) == 1:
         return UniformityReport(True, ks.pop(), ls.pop())
     return UniformityReport(False, None, None)

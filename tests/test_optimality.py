@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -21,8 +22,10 @@ from bikerelay import (
     count_excess_handovers,
     cyclic_matrix,
     decide_optimal,
+    default_block_cells,
     dual_reverse_word,
     enumerate_uniform,
+    format_scheme,
     is_dyck,
     is_executable_without_stall,
     parse_scheme,
@@ -477,6 +480,51 @@ def test_words_and_plans_equal_the_reference_in_both_orders(fixtures_dir):
     # Drop-first accepts all 4,080 5x5s and four fixtures, take-first
     # 1,800 of the 5x5s and two fixtures; no (6,3) example is accepted.
     assert plans == 4080 + 4 + 1800 + 2
+
+
+def failing_words_checked(M):
+    """The tie orders that reject M at a word, each failing word checked against canonical_word.
+
+    decide_optimal reads the failing word off its split of the movers
+    by rank; canonical_word sorts the rows.
+    """
+    rejecting = []
+    for order in TieOrder:
+        v = decide_optimal(M, order)
+        if v.reason == "non-dyck":
+            assert v.failing_word == canonical_word(M, v.failing_boundary, order).letters, (M, order)
+            rejecting.append(order)
+    return rejecting
+
+
+def shuffled_columns(M, seed):
+    """M with its columns in a seeded random order, written and parsed back."""
+    cols = list(range(M.m))
+    random.Random(seed).shuffle(cols)
+    return parse_scheme(format_scheme(BinaryScheme([[row[c] for c in cols] for row in M.rows])))
+
+
+def test_the_failing_word_is_the_canonical_word_on_every_nonoptimal_6x6():
+    # Take-first rejects every matrix drop-first rejects.
+    rejected = Counter()
+    for M in reference_enumerate(6, 3, max_examples=9560).minimal_nonoptimal_examples:
+        rejected.update(failing_words_checked(M))
+    assert rejected == {TieOrder.DROP_FIRST: 9560, TieOrder.TAKE_FIRST: 9560}
+
+
+@pytest.mark.parametrize(
+    "make, rejecting",
+    [
+        (lambda fixtures: parse_scheme((fixtures / "tie_order_split.mat").read_text()), [TieOrder.TAKE_FIRST]),
+        (lambda fixtures: parse_scheme((fixtures / "take_first_outer_tie.mat").read_text()), [TieOrder.TAKE_FIRST]),
+        (lambda fixtures: shuffled_columns(cyclic_matrix(256, 85), 3), list(TieOrder)),
+        # Wide, 10 x 40, and tall, 30 x 10: block grids of cyclic(5, 2) cells.
+        (lambda fixtures: shuffled_columns(block_compose(10, 4, 8, default_block_cells(10, 4, 8)), 4), list(TieOrder)),
+        (lambda fixtures: shuffled_columns(block_compose(30, 12, 2, default_block_cells(30, 12, 2)), 2), list(TieOrder)),
+    ],
+)
+def test_the_failing_word_is_the_canonical_word(make, rejecting, fixtures_dir):
+    assert failing_words_checked(make(fixtures_dir)) == rejecting
 
 
 @st.composite

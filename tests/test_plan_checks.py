@@ -225,3 +225,20 @@ def test_a_repeated_donor_is_refused(M, b, pairs, row, count):
 )
 def test_a_row_that_is_no_integer_is_no_row(pairs, want):
     assert_refused(SCHEME, replace(CANONICAL, 1, pairs), PlanViolation(*want))
+
+
+@pytest.mark.parametrize(
+    "extra, want",
+    [
+        # A row and a str, both extra: rows come first, and "x" is never
+        # compared with 6.
+        ((("x", 1), (6, 1)), (1, "domain", 6, 1, "row 6 does not ride stage 1 yet appears in the map")),
+        ((("x", 1), ("3", 1)), (1, "domain", "3", 1, "row 3 does not ride stage 1 yet appears in the map")),
+        # A dict cannot hold [1] as a key.
+        ((([1], 0),), (1, "domain", None, None, "entry ([1], 0) cannot be read as a pair of rows")),
+        (((3, [0]),), (1, "domain", None, None, "entry (3, [0]) cannot be read as a pair of rows")),
+        ((5,), (1, "domain", None, None, "entry 5 cannot be read as a pair of rows")),
+    ],
+)
+def test_entries_of_mixed_types_are_refused_without_type_errors(extra, want):
+    assert_refused(SCHEME, replace(CANONICAL, 1, CANONICAL.pairs[1] + extra), PlanViolation(*want))

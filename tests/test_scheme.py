@@ -279,15 +279,22 @@ def test_trailing_zero_columns_make_a_different_scheme():
 
 @given(matrices)
 def test_mask_views_agree_with_the_rows(M):
-    parsed = parse_scheme(format_scheme(M))
-    for S in (M, parsed):
+    text = format_scheme(M)
+    # The one-pass reader, and the line parser (a space before each line end).
+    parsed = [parse_scheme(text), parse_scheme(text.replace("\n", " \n"))]
+    for S in (M, *parsed):
+        assert S.row_sums == tuple(map(sum, M.rows))
         assert S.masks == tuple(sum(v << j for j, v in enumerate(row)) for row in M.rows)
         assert S.col_masks == tuple(
             sum(row[j] << i for i, row in enumerate(M.rows)) for j in range(M.m)
         )
         assert S.rows == M.rows and S.col_sums == M.col_sums
-        # A view is computed once, then read from its slot.
-        assert S.rows is S.rows and S.col_masks is S.col_masks
+        # A view is computed once, then read from its slot; a parsed
+        # scheme's masks are one of them.
+        assert S.rows is S.rows and S.col_masks is S.col_masks and S.masks is S.masks
+    # Comparing and hashing derive the masks of a scheme parsed afresh.
+    again = parse_scheme(text)
+    assert again == M and hash(again) == hash(M)
 
 
 def test_absurd_header_width_is_rejected_without_allocating_it():
@@ -557,12 +564,33 @@ def test_transforms_equal_the_row_references(case):
     assert_same_scheme(transpose(M), reference_transpose(M))
 
 
-def rows_slot_is_empty(M):
+def slot_is_empty(M, name):
     try:
-        BinaryScheme.__dict__["rows"].__get__(M, BinaryScheme)
+        BinaryScheme.__dict__[name].__get__(M, BinaryScheme)
     except AttributeError:
         return True
     return False
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (format_scheme(cyclic_matrix(64, 31)), "optimal"),
+        # split_riders_swapped.mat: the word after column 3 is bbbaaa.
+        ("6 6\n" + "1 1 0 1 0 0\n" * 3 + "0 0 1 0 1 1\n" * 3, "non-dyck"),
+        ("2 2\n1 1\n1 0\n", "not-uniform"),
+    ],
+)
+def test_deciding_a_parsed_scheme_builds_no_row_masks(text, reason):
+    # Both parsers, the one-pass reader and the line parser (which takes
+    # the doubled spaces), read a body into column masks and row sums,
+    # and decide_optimal reads nothing else, in either tie order.
+    for body in (text, text.replace(" ", "  ")):
+        M = parse_scheme(body)
+        assert slot_is_empty(M, "masks")
+        assert decide_optimal(M).reason == reason
+        decide_optimal(M, TieOrder.TAKE_FIRST)
+        assert slot_is_empty(M, "masks") and slot_is_empty(M, "rows")
 
 
 def test_no_layer_builds_the_rows_view(fixtures_dir):
@@ -602,4 +630,4 @@ def test_no_layer_builds_the_rows_view(fixtures_dir):
     assert first_stall_ride_index(M) is None
     assert first_stall_ride_index(swapped) is not None
     for S in made:
-        assert rows_slot_is_empty(S), S
+        assert slot_is_empty(S, "rows"), S
