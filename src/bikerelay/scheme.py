@@ -12,9 +12,14 @@ masks[i] is entry (i, j), or per column: bit i of col_masks[j] is entry
 (i, j).  The other masks, the row tuples and the line sums are views
 derived on first use and kept from then on.  A parsed scheme holds its
 column masks and row sums only, so its row masks are a view too, built
-only by what reads them.  A ride count up to a boundary is a masked bit
-count, and the optimality decision works on whole columns at once, so
-no per-entry Python loop is needed to parse or decide a scheme.
+only by what reads them.  Every switch between rows and columns goes
+through one byte-packed transpose: each row is first read as an int
+with entry j in byte j (straight from the file's ASCII digits, or from
+a mask's binary digits), eight rows are ORed into each byte, and each
+column is every m-th byte of that n*m/8-byte buffer.  A ride count up to
+a boundary is a masked bit count, and the optimality decision works on
+whole columns at once, so no per-entry Python loop is needed to parse or
+decide a scheme.
 
 This module holds the matrix data model (validation, cached views), the
 text file format, and the structural transforms used by the rest of the
@@ -195,18 +200,39 @@ def _rows_of(masks: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _columns_of(masks: tuple[int, ...], m: int) -> tuple[int, ...]:
-    # Each row in binary is that row reversed, so this is every digit reversed.
+    # A mask in m binary digits, read as bytes highest first, puts entry j in byte j.
     fmt = f"0{m}b"
-    return _text_columns("".join(format(x, fmt) for x in reversed(masks)), m)
+    ones = int.from_bytes(b"\x01" * m, "little")
+    return _packed_columns(
+        [int.from_bytes(format(x, fmt).encode(), "big") & ones for x in masks], m
+    )
 
 
-def _text_columns(r: str, m: int) -> tuple[int, ...]:
-    """Column masks of the matrix whose digits, row after row with m to a row, are r reversed.
+def _packed_columns(rows: list[int], m: int) -> tuple[int, ...]:
+    """Column masks of the n x m matrix whose row i holds entry (i, j) in bit 8j of rows[i].
 
-    In r, column j is every m-th digit from index m-1-j, row n-1 first:
-    its mask in binary, highest bit first.
+    Eight rows make one group: row 8g+t is shifted left by t and ORed
+    in, so bit t of byte j of group g is entry (8g+t, j).  The groups,
+    written m bytes each and joined, put column j's bytes every m-th
+    from byte j, and column j is that slice read as a little-endian int.
     """
-    return tuple(int(r[m - 1 - j :: m], 2) for j in range(m))
+    groups = []
+    for g in range(0, len(rows), 8):
+        acc = 0
+        for t, x in enumerate(rows[g : g + 8]):
+            acc |= x << t
+        groups.append(acc.to_bytes(m, "little"))
+    packed = b"".join(groups)
+    return tuple(int.from_bytes(packed[j::m], "little") for j in range(m))
+
+
+def _from_digits(digits: bytes, n: int, m: int) -> BinaryScheme:
+    """The n x m scheme whose entries, row after row, are the ASCII digits 0 and 1 of digits."""
+    # A row's digits read as one int put entry j in byte j; '0' and '1'
+    # differ only in the low bit, so masking each byte with 1 leaves the entry.
+    ones = int.from_bytes(b"\x01" * m, "little")
+    rows = [int.from_bytes(digits[i : i + m], "little") & ones for i in range(0, n * m, m)]
+    return BinaryScheme._from_columns(_packed_columns(rows, m), tuple(map(int.bit_count, rows)))
 
 
 @dataclass(frozen=True)
@@ -293,8 +319,7 @@ def parse_scheme(text: str) -> BinaryScheme:
         digits.append(bits)
     if len(digits) != n:
         raise SchemeFormatError(line + len(lines), f"expected {n} rows, got {len(digits)}")
-    row_sums = tuple(bits.count("1") for bits in digits)
-    return BinaryScheme._from_columns(_text_columns("".join(digits)[::-1], m), row_sums)
+    return _from_digits("".join(digits).encode(), n, m)
 
 
 def _read_body(text: str, body: int, n: int, m: int) -> BinaryScheme | None:
@@ -302,18 +327,21 @@ def _read_body(text: str, body: int, n: int, m: int) -> BinaryScheme | None:
 
     Such a row is m digits 0 or 1 with one " " between them and "\n"
     after the last.  Any other body, well formed or not, is left to the
-    line parser, so every SchemeFormatError comes from there.
+    line parser, so every SchemeFormatError comes from there.  The
+    digits, every other character, are checked to be ASCII '0' and '1'
+    on their bytes, and each row's m bytes are read as one int, entry j
+    in byte j, for the byte-packed transpose.
     """
     # The length is checked first, so an absurd header allocates nothing.
     if len(text) - body != 2 * n * m or text[body + 1 :: 2] != (" " * (m - 1) + "\n") * n:
         return None
-    # Every digit once, last first: row i is the run of m digits ending
-    # m*i digits from the end.
-    r = text[-2 : body - 1 : -2]
-    row_sums = tuple(r.count("1", i, i + m) for i in range(len(r) - m, -1, -m))
-    if r.count("0") + sum(row_sums) != n * m:
+    digits = text[body::2]
+    if not digits.isascii():
         return None
-    return BinaryScheme._from_columns(_text_columns(r, m), row_sums)
+    raw = digits.encode("ascii")
+    if raw.translate(None, b"01"):
+        return None
+    return _from_digits(raw, n, m)
 
 
 def format_scheme(M: BinaryScheme, comment: str | None = None) -> str:

@@ -1,4 +1,5 @@
 import io
+import random
 from contextlib import redirect_stdout
 
 import pytest
@@ -367,7 +368,11 @@ MUTATIONS = [
     ("tab in a row", lambda t: at(t, body_at(t) + 9, "\t")),
     *(
         (f"{ch!r} at a digit", lambda t, ch=ch: at(t, body_at(t) + 10, ch))
-        for ch in ("_", " ", "2", "３")
+        # The one-pass reader keeps only the low bit of each digit's byte,
+        # so it must refuse every character but '0' and '1' first: '3',
+        # 'a' and '\x01' have that bit set, '\x00' has it clear, and the
+        # fullwidth '１' is a digit int(..., 2) takes.
+        for ch in ("_", " ", "2", "３", "3", "a", "\x01", "\x00", "１")
     ),
     ("short last row", lambda t: t[:-3] + "\n"),
     ("extra row", lambda t: t + t[-8:]),
@@ -506,6 +511,55 @@ def test_formatted_schemes_parse_back_as_the_token_parser_reads_them(M):
     got = parse_scheme(text)
     assert got == M == reference_parse(text)
     assert got.rows == M.rows and got.col_masks == M.col_masks
+
+
+def naive_masks(rows):
+    """Row masks, column masks and row sums of a 0/1 row list, entry by entry."""
+    n, m = len(rows), len(rows[0])
+    masks = tuple(sum(rows[i][j] << j for j in range(m)) for i in range(n))
+    col_masks = tuple(sum(rows[i][j] << i for i in range(n)) for j in range(m))
+    return masks, col_masks, tuple(map(sum, rows))
+
+
+def assert_transposes_naively(rows):
+    masks, col_masks, row_sums = naive_masks(rows)
+    n, m = len(rows), len(rows[0])
+    assert scheme._columns_of(masks, m) == col_masks
+    assert scheme._columns_of(col_masks, n) == masks
+    text = format_scheme(BinaryScheme(rows))
+    # The canonical text takes the one-pass reader, the tab-separated
+    # copy the line parser.
+    for body in (text, text.replace(" ", "\t")):
+        M = parse_scheme(body)
+        assert (M.col_masks, M.row_sums) == (col_masks, row_sums)
+        assert M.masks == masks
+
+
+def random_rows(rng, n, m):
+    """n random rows of m entries, each row at its own density, some all zero or all one."""
+    rows = []
+    for _ in range(n):
+        p = rng.choice([0.0, 1.0, 0.5, rng.random()])
+        rows.append(tuple(int(rng.random() < p) for _ in range(m)))
+    return rows
+
+
+def test_the_byte_packed_transpose_on_every_shape_up_to_17():
+    # Every group size 1..8 for the last group of eight rows, and every
+    # width, against a per-entry transpose.
+    rng = random.Random(30)
+    for n in range(1, 18):
+        for m in range(1, 18):
+            assert_transposes_naively(random_rows(rng, n, m))
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65, *random.Random(31).sample(range(1, 71), 6)])
+def test_the_byte_packed_transpose_on_random_shapes_up_to_70(n):
+    rng = random.Random(n)
+    for m in (1, 7, 8, 9, 64, 65, 70, rng.randint(1, 70)):
+        assert_transposes_naively(random_rows(rng, n, m))
+        assert_transposes_naively([(0,) * m] * n)
+        assert_transposes_naively([(1,) * m] * n)
 
 
 def reference_permute_rows(M, pi):
