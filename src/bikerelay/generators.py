@@ -11,13 +11,11 @@ n/gcd(n,k).
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import gcd
-from operator import xor
 from typing import NamedTuple, Sequence
 
 from .optimality import decide_optimal
-from .scheme import BinaryScheme, uniformity
+from .scheme import BinaryScheme, transpose, uniformity
 
 
 def _check_nk(n: int, k: int):
@@ -44,18 +42,8 @@ def cyclic_matrix(n: int, k: int) -> BinaryScheme:
 
 
 def transpose_cyclic_matrix(n: int, k: int) -> BinaryScheme:
-    """Column j carries rows j*k .. j*k+k-1 (mod n); the cyclic transpose.
-
-    Row j holds the cyclic windows over stage j: row j-1 less the
-    windows that end at stage j-1 and plus those that start at stage j.
-    """
-    cyclic = cyclic_matrix(n, k)
-    starts = [0] * n  # bit i of starts[s]: cyclic row i's window starts at stage s
-    for i in range(n):
-        starts[i * k % n] |= 1 << i
-    first = sum(starts[-s] for s in range(k))  # the windows over stage 0
-    rows = accumulate((starts[j] ^ starts[j - k] for j in range(1, n)), xor, initial=first)
-    return BinaryScheme._from_masks(tuple(rows), n, cyclic.masks)
+    """Column j carries rows j*k .. j*k+k-1 (mod n); the cyclic transpose."""
+    return transpose(cyclic_matrix(n, k))
 
 
 def circulant_matrix(n: int, k: int) -> BinaryScheme:

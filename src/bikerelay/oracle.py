@@ -8,9 +8,11 @@ that verdict are deliberately independent of the word-based decision:
 cross_validate tests every matrix for a first-come run with no stall,
 post by post on the ride counts, in the same descent and once per
 column prefix, and runs simulate's executor at each speed ratio on the
-matrices where that test and the words disagree; determinants come
-from fraction-free elimination, and the cyclic family's structure
-claims are verified on its row and column masks.
+matrices where that test and the words disagree.  The descent keeps
+its prefix as caps and columns, and builds each matrix it hands out
+from its columns, so a matrix derives its row masks only when read.
+Determinants come from fraction-free elimination, and the cyclic
+family's structure claims are verified on its row and column masks.
 """
 
 from __future__ import annotations
@@ -164,10 +166,11 @@ def _descend(
     Columns go left to right, supports in lexicographic order; placing
     column b+1 tests boundary b on the ride counts k - cap if it is
     scanned and the prefix is still optimal.  The prefix is kept once,
-    as caps, row masks and columns; depth n-2 finishes its children
-    with the forced last column.  With no visitor, it returns the first
-    max_examples non-optimal matrices, entering an optimal child only
-    while count finds non-optimal completions.
+    as caps and columns; depth n-2 finishes its children with the
+    forced last column, and a matrix built there holds only its columns
+    and row sums.  With no visitor, it returns the first max_examples
+    non-optimal matrices, entering an optimal child only while count
+    finds non-optimal completions.
 
     With a visitor, every matrix is also tested for a greedy first-come
     run with no stall, on the column prefix.  Until the first stall,
@@ -196,20 +199,14 @@ def _descend(
     # so the ones a node keeps come in the order of their free parts.
     table = [(sum(1 << i for i in rows), rows) for rows in combinations(range(n), k)]
     caps = [k] * n
-    masks = [0] * n  # row masks of the columns placed so far
     cols: list[int] = []
     examples: list[BinaryScheme] = []
 
     def build(col: int) -> BinaryScheme:
         # The matrix whose column n-2 is col: the last column is the
         # rows with a ride left after it.
-        left = [c - (col >> i & 1) for i, c in enumerate(caps)]
-        last = sum(c << i for i, c in enumerate(left))
-        rows = tuple(
-            x | (col >> i & 1) << (n - 2) | c << (n - 1)
-            for i, (x, c) in enumerate(zip(masks, left))
-        )
-        return BinaryScheme._from_masks(rows, n, (*cols, col, last))
+        last = sum(c - (col >> i & 1) << i for i, c in enumerate(caps))
+        return BinaryScheme._from_columns((*cols, col, last), (k,) * n)
 
     def place(j: int, ok: bool, runs: bool) -> None:
         # On entry j <= n-2, every cap is at most n-j and the caps sum to
@@ -226,7 +223,6 @@ def _descend(
                 spent |= 1 << i
         held = forced | spent
         finishing = j == n - 2
-        bit = 1 << j
         test = ok and j - 1 in scanned
         if test:
             slices = [0] * k.bit_length()  # bit t of each row's rides through column j-1
@@ -269,13 +265,11 @@ def _descend(
                     continue
             for i in support:
                 caps[i] -= 1
-                masks[i] |= bit
             cols.append(col)
             place(j + 1, child_ok, child_runs)
             cols.pop()
             for i in support:
                 caps[i] += 1
-                masks[i] ^= bit
 
     if n > 1:  # the one 1 x 1 matrix [k] is optimal, with no post to probe
         place(0, True, visitor is not None)

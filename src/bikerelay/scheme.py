@@ -96,11 +96,12 @@ class BinaryScheme:
     def _from_masks(
         cls, masks: tuple[int, ...], m: int, col_masks: tuple[int, ...] | None = None
     ) -> "BinaryScheme":
-        """A scheme from its row masks, and its column masks if known, without validation.
+        """A scheme from its row masks, without validation.
 
-        The caller guarantees that the masks fit in m and n bits and
-        describe the same matrix.  Without col_masks that view is
-        derived on first read, like the others.
+        The caller guarantees that the masks fit in m bits.  Only
+        transpose passes col_masks, the same matrix's columns: its
+        input's two mask views are its own, swapped.  Without it the
+        view is derived on first read, like the others.
         """
         self = object.__new__(cls)
         _set(self, "masks", masks)

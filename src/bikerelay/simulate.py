@@ -256,11 +256,7 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
                     return False
                 raise DeadlockError(j)
             drops = sorted([cur[i] for i in droppers])
-            if log is None:
-                arrivals = sorted([cur[i] for i in takers])
-            else:
-                takers.sort(key=cur.__getitem__)
-                arrivals = [cur[i] for i in takers]
+            takers.sort(key=cur.__getitem__)
             if full:
                 droppers.sort(key=cur.__getitem__)
                 parked: list[tuple[int, int]] = []  # (bicycle, giver) heap
@@ -270,8 +266,7 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
             if not plan.keys() >= set(takers):
                 raise DeadlockError(j)
             drops = [cur[plan[i]] for i in takers]
-            arrivals = [cur[i] for i in takers]
-        for r, t_arr in enumerate(arrivals):
+        for r, t_arr in enumerate([cur[i] for i in takers]):
             # Taker r leaves at the later of their arrival and drop r.
             dep = drops[r]
             if dep <= t_arr:

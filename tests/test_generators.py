@@ -243,7 +243,9 @@ def test_generators_equal_the_row_references():
         for k in range(n + 1):
             want = reference_cyclic_matrix(n, k)
             assert_same_scheme(cyclic_matrix(n, k), want)
-            assert transpose_cyclic_matrix(n, k).rows == tuple(zip(*want.rows))
+            T = transpose_cyclic_matrix(n, k)
+            assert T.rows == tuple(zip(*want.rows))
+            assert T.col_masks == want.masks
             assert_same_scheme(circulant_matrix(n, k), reference_circulant_matrix(n, k))
     for n, k in ((0, 0), (3, 4), (3, -1)):
         for generator in (cyclic_matrix, circulant_matrix):

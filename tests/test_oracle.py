@@ -25,6 +25,7 @@ from bikerelay.oracle import DEFAULT_SPEED_RATIOS
 from bikerelay.simulate import _Log, _execute, _stage_ticks
 
 from reference_listing import reference_enumerate
+from test_scheme import slot_is_empty
 
 # Counts of n x n binary matrices with all line sums k, by independent
 # per-column dynamic programming over row capacity multisets.
@@ -61,6 +62,18 @@ def full_scan(M):
 MAX_EXAMPLES = (0, 1, 4, 50)
 
 
+def assert_built_from_columns(got, want):
+    """Each scheme of got holds no row masks until read, and its views equal want's.
+
+    The descent builds every matrix from its columns, so the masks slot
+    must still be empty; it is checked before anything reads it.
+    """
+    assert len(got) == len(want)
+    assert all(slot_is_empty(M, "masks") for M in got)
+    for M, R in zip(got, want):
+        assert (M.masks, M.col_masks, M.rows) == (R.masks, R.col_masks, R.rows)
+
+
 def assert_enumeration_equals_reference(n, k):
     """Reports of enumerate_uniform equal the reference's.
 
@@ -76,7 +89,9 @@ def assert_enumeration_equals_reference(n, k):
     assert ref.minimal_nonoptimal_examples == tuple(nonoptimal[:50])
     for e in (*MAX_EXAMPLES, len(nonoptimal)):
         want = dataclasses.replace(ref, minimal_nonoptimal_examples=tuple(nonoptimal[:e]))
-        assert enumerate_uniform(n, k, max_examples=e) == want, (n, k, e)
+        got = enumerate_uniform(n, k, max_examples=e)
+        assert_built_from_columns(got.minimal_nonoptimal_examples, nonoptimal[:e])
+        assert got == want, (n, k, e)
     return seen
 
 
@@ -282,11 +297,16 @@ def test_the_probe_alone_finds_every_stall_in_order(monkeypatch):
     # the probe finds a stall in: the 9,560 stalling (6,3) matrices, in
     # the order of the census's examples.  That pins the presorted caps,
     # the column order and the level counted in place.
+    # Both lists are built from columns; the census's examples are the
+    # reference's non-optimal (6,3) matrices, view for view, by
+    # test_enumeration_equals_the_per_leaf_reference_at_n6.
     stalling = enumerate_uniform(6, 3, max_examples=10_000).minimal_nonoptimal_examples
     monkeypatch.setattr(oracle, "_is_dyck_at", lambda *args: True)
     shown = []
     assert oracle._descend(6, 3, lambda M, ok: shown.append((M, ok))) == []
     assert len(shown) == 9560
+    assert all(slot_is_empty(M, "masks") for M in stalling)
+    assert_built_from_columns([M for M, _ in shown], stalling)
     assert shown == [(M, True) for M in stalling]
 
 
