@@ -10,11 +10,11 @@ every prefix contains at least as many a's as b's.
 
 Two tie-break orders are implemented for equal ride counts.  The
 default, DROP_FIRST, places droppers ahead of takers (equal counts
-mean simultaneous arrivals, so the handover is feasible).  The
-alternative TAKE_FIRST order, kept for comparison, is the reverse of
-the ascending melded ranking and puts takers first on ties; it rejects
-some schemes the default accepts.  One Dyck rule serves both: droppers
-first on equal rank, where take-first ranks a taker half a ride ahead.
+mean simultaneous arrivals, so the handover is feasible).  TAKE_FIRST,
+kept for comparison, reverses the ascending melded ranking, so a taker
+ranks half a ride ahead of a tied dropper; it rejects some schemes the
+default accepts.  One split of the movers into groups of equal rank,
+on bit slices of their ride counts, gives every word and its Dyck test.
 
 Assignment plans make the execution explicit: a per-boundary partial
 bijection saying who rides each bicycle next.  A plan is feasible when
@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice
 from operator import index
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .scheme import BinaryScheme, _mask_rows, uniformity
 
@@ -120,20 +121,49 @@ class PlanCheck:
     violation: PlanViolation | None
 
 
-def _word(M: BinaryScheme, b: int, take_first: bool) -> list[int]:
-    """The rows of boundary b's word in order; see canonical_word.
+def _ride_slices(cols: tuple[int, ...], stop: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield (b, slices) for b < stop: bit t of each row's ride count through column b is in slices[t]."""
+    slices: list[int] = []  # one list, updated in place for each b
+    for b in range(stop):
+        carry = cols[b]  # one more ride for each row of column b, added bitwise
+        for t, s in enumerate(slices):
+            if not carry:
+                break
+            slices[t] = s ^ carry
+            carry &= s
+        if carry:
+            slices.append(carry)
+        yield b, slices
 
-    Drop-first sorts on (-rides, is_taker, row); take-first reverses
-    the last two, as the reverse of the ascending order does.
+
+def _rank_groups(movers: int, ranks: list[int]) -> list[int]:
+    """The movers as masks of equal rank, highest first, split on ranks[t] (rank bit t) top bit first."""
+    groups, stack = [], [(movers, len(ranks))]
+    while stack:
+        group, t = stack.pop()
+        if not t or not group & (group - 1):  # no bit left, or one mover
+            groups.append(group)
+            continue
+        t -= 1
+        high = group & ranks[t]
+        low = group ^ high
+        if low:
+            stack.append((low, t))
+        if high:
+            stack.append((high, t))
+    return groups
+
+
+def _word(drop: int, take: int, slices: list[int], take_first: bool) -> list[int]:
+    """The rows of a boundary's word in order; see canonical_word.
+
+    Drop-first lists each group of equal rides as droppers then takers,
+    lowest row first.  Take-first ranks a taker half a ride ahead, so
+    each group holds one kind, listed highest row first.
     """
-    first, second = M.col_masks[b], M.col_masks[b + 1]
-    stages = (1 << (b + 1)) - 1  # columns 0..b
-    masks = M.masks
-    sign = -1 if take_first else 1
-    return sorted(
-        _mask_rows(first ^ second),
-        key=lambda i: (-(masks[i] & stages).bit_count(), sign * (second >> i & 1), sign * i),
-    )
+    if take_first:
+        return [i for g in _rank_groups(drop | take, [take, *slices]) for i in reversed(_mask_rows(g))]
+    return [i for g in _rank_groups(drop | take, slices) for i in _mask_rows(g & drop) + _mask_rows(g & take)]
 
 
 def canonical_word(
@@ -144,7 +174,7 @@ def canonical_word(
     """The boundary word of a uniform scheme.
 
     Droppers (letter a) and takers (letter b) at the given boundary
-    are sorted by ride count so far, descending; ties follow
+    are ranked by ride count so far, descending; ties follow
     tie_order.
 
     Args:
@@ -161,8 +191,10 @@ def canonical_word(
         raise ValueError("canonical words are defined for uniform schemes only")
     if not 0 <= boundary <= M.m - 2:
         raise ValueError(f"boundary {boundary} out of range 0..{M.m - 2}")
-    rows = _word(M, boundary, take_first)
-    first = M.col_masks[boundary]
+    cols = M.col_masks
+    *_, (_, slices) = _ride_slices(cols, boundary + 1)
+    first, second = cols[boundary], cols[boundary + 1]
+    rows = _word(first & ~second, second & ~first, slices, take_first)
     letters = "".join("a" if first >> i & 1 else "b" for i in rows)
     return CanonicalWord(boundary, letters, tuple(rows))
 
@@ -192,10 +224,9 @@ def _is_dyck_at(drop: int, take: int, slices: list[int]) -> bool:
     take-first 2 * rides + is_taker.  The word lists rows by rank,
     highest first and droppers first on equal rank, so it is Dyck iff
     the running depth (droppers minus takers) never drops below zero
-    over the groups of equal rank.  The groups come from splitting the
-    movers on the slices, top slice first.  A group is split only
-    while its order matters: once the depth before it covers all its
-    takers, no order inside it can go below zero.
+    over the groups of equal rank, split as _rank_groups does but only
+    while a group's order matters: once the depth before it covers all
+    its takers, no order inside it can go below zero.
     """
     depth = 0
     stack = [(drop | take, len(slices))]
@@ -269,27 +300,12 @@ def decide_optimal(
         return Verdict(False, None, "not-uniform")
     scanned = range(M.m - 1) if take_first else _scanned_boundaries(uni.l, M.m)
     cols = M.col_masks
-    slices: list[int] = []  # bit t of each row's ride count through column b
-    for b in range(scanned.stop):
+    for b, slices in islice(_ride_slices(cols, scanned.stop), scanned.start, None):
         first, second = cols[b], cols[b + 1]
-        carry = first  # one more ride for each row of column b, added bitwise
-        for t, s in enumerate(slices):
-            if not carry:
-                break
-            slices[t] = s ^ carry
-            carry &= s
-        if carry:
-            slices.append(carry)
-        if b < scanned.start:
-            continue
         drop, take = first & ~second, second & ~first
         ranks = [take, *slices] if take_first else slices
         if not _is_dyck_at(drop, take, ranks):
-            # The movers split fully on the ranks, top slice first, are the
-            # groups of equal rank, highest first: droppers, then takers.
-            groups = [drop | take]
-            for s in reversed(ranks):
-                groups = [part for g in groups for part in (g & s, g & ~s) if part]
+            groups = _rank_groups(drop | take, ranks)
             word = "".join("a" * (g & drop).bit_count() + "b" * (g & take).bit_count() for g in groups)
             return Verdict(False, uni.k, "non-dyck", b, word)
     return Verdict(True, uni.k, "optimal")
@@ -315,13 +331,12 @@ def build_assignment_plan(
         raise ValueError(f"scheme is not optimal ({verdict.reason})")
     cols = M.col_masks
     maps = []
-    for b in range(M.m - 1):
-        first = cols[b]
-        droppers, takers = [], []
-        for i in _word(M, b, take_first):
-            (droppers if first >> i & 1 else takers).append(i)
-        mp = {i: i for i in _mask_rows(first & cols[b + 1])}
-        mp.update(zip(droppers, takers))
+    for b, slices in _ride_slices(cols, M.m - 1):
+        first, second = cols[b], cols[b + 1]
+        drop, take = first & ~second, second & ~first
+        word = _word(drop, take, slices, take_first)
+        mp = {i: i for i in _mask_rows(first & second)}
+        mp.update(zip([i for i in word if drop >> i & 1], [i for i in word if take >> i & 1]))
         maps.append(mp)
     return AssignmentPlan.from_maps(maps)
 

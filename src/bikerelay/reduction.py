@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .optimality import AssignmentPlan, decide_optimal, verify_plan
+from .optimality import AssignmentPlan, _rank_groups, _ride_slices, decide_optimal, verify_plan
 from .scheme import BinaryScheme, _mask_rows
 
 
@@ -41,9 +41,9 @@ def reduce_scheme(M: BinaryScheme) -> tuple[BinaryScheme, int]:
     Row and column sums are unchanged and the result still decides
     optimal.
 
-    Only the rows that change at a boundary are visited: past it each
-    row runs on the tail of some row of M, so they are the holders of
-    the tails that change in M's own column masks.
+    The movers are ranked on M's ride-count slices: at boundary b, row
+    holder[o] has M's row o's rides through b and entries in columns b
+    and b+1, since each swap trades futures of equal count.
 
     Raises:
         ValueError: M does not decide optimal.
@@ -52,22 +52,21 @@ def reduce_scheme(M: BinaryScheme) -> tuple[BinaryScheme, int]:
     if not verdict.optimal:
         raise ValueError(f"scheme is not optimal ({verdict.reason})")
     masks, cols = list(M.masks), M.col_masks
-    tail = list(range(M.n))  # past the boundary, row i is M's row tail[i]
-    holder = list(range(M.n))  # the inverse: M's row o is now row holder[o]
+    holder = list(range(M.n))  # past the boundary, M's row o is row holder[o]
     removed = 0
-    for b in range(M.m - 1):
+    for b, slices in _ride_slices(cols, M.m - 1):
         head = (1 << (b + 1)) - 1  # columns 0..b
-        by_count: dict[int, tuple[list[int], list[int]]] = {}
-        for i in sorted([holder[o] for o in _mask_rows(cols[b] ^ cols[b + 1])]):
-            droppers, takers = by_count.setdefault((masks[i] & head).bit_count(), ([], []))
-            (droppers if masks[i] >> b & 1 else takers).append(i)
-        for droppers, takers in by_count.values():
-            for i1, i2 in zip(droppers, takers):
+        drop, take = cols[b] & ~cols[b + 1], cols[b + 1] & ~cols[b]
+        for g in _rank_groups(drop | take, slices):
+            if not (g & drop and g & take):
+                continue
+            droppers = sorted((holder[o], o) for o in _mask_rows(g & drop))
+            takers = sorted((holder[o], o) for o in _mask_rows(g & take))
+            for (i1, o1), (i2, o2) in zip(droppers, takers):
                 x = (masks[i1] ^ masks[i2]) & ~head
                 masks[i1] ^= x
                 masks[i2] ^= x
-                tail[i1], tail[i2] = tail[i2], tail[i1]
-                holder[tail[i1]], holder[tail[i2]] = i1, i2
+                holder[o1], holder[o2] = i2, i1
                 removed += 1
     return BinaryScheme._from_masks(tuple(masks), M.m), removed
 

@@ -18,6 +18,7 @@ from bikerelay import (
     block_compose,
     build_assignment_plan,
     canonical_word,
+    circulant_matrix,
     complementary_plan,
     count_excess_handovers,
     cyclic_matrix,
@@ -40,6 +41,7 @@ from bikerelay import (
 from bikerelay.oracle import DEFAULT_SPEED_RATIOS
 
 from reference_listing import reference_enumerate
+from test_scheme import slot_is_empty
 
 
 def reference_word_letters(M, table, b, tie_order):
@@ -452,23 +454,37 @@ def test_decision_equals_the_list_scan_on_every_uniform_5x5():
 
 def test_words_and_plans_equal_the_reference_in_both_orders(fixtures_dir):
     # Every uniform 5x5 (k = 2, 3), a stride of the stalling (6,3)
-    # matrices and every fixture: at every boundary and in both orders,
-    # the word's letters and rows equal the reference sort, and an
-    # accepted scheme's plan hands the rth dropper's bicycle to the rth
-    # taker of that word.
+    # matrices, every fixture and six parsed schemes with deep ranks: at
+    # every boundary and in both orders, the word's letters and rows
+    # equal the reference sort, and an accepted scheme's plan hands the
+    # rth dropper's bicycle to the rth taker of that word.
     schemes = []
     for k in (2, 3):
         reference_enumerate(5, k, lambda M, ok: schemes.append(M))
     schemes += enumerate_uniform(6, 3, max_examples=9560).minimal_nonoptimal_examples[::40]
     schemes += [parse_scheme(p.read_text()) for p in sorted(fixtures_dir.glob("*.mat"))]
-    plans = 0
+    # Rides up to 16, so the ranks split on five slices: these files are
+    # parsed, and their words and plans must build no row masks.
+    deep = [circulant_matrix(48, 16), transpose_cyclic_matrix(48, 16), cyclic_matrix(24, 7)]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        n = rng.randint(20, 40)
+        deep.append(random_uniform(n, rng.randint(n // 4, 3 * n // 4), rng))
+    schemes += [parse_scheme(format_scheme(M)) for M in deep]
+    plans = from_columns = 0
     for M in schemes:
+        columns_only = slot_is_empty(M, "masks")
+        words = {order: [canonical_word(M, b, order) for b in range(M.m - 1)] for order in TieOrder}
+        built = {order: build_assignment_plan(M, order) for order in TieOrder if decide_optimal(M, order).optimal}
+        if columns_only:
+            assert slot_is_empty(M, "masks"), M.col_masks
+            from_columns += 1
         table = prefix_sums(M).table
         for order in TieOrder:
-            P = build_assignment_plan(M, order) if decide_optimal(M, order).optimal else None
+            P = built.get(order)
             for b in range(M.m - 1):
                 entries = reference_word_letters(M, table, b, order)
-                w = canonical_word(M, b, order)
+                w = words[order][b]
                 assert w.letters == "".join(e[3] for e in entries), (M.rows, b, order)
                 assert w.rows == tuple(e[2] for e in entries), (M.rows, b, order)
                 if P is not None:
@@ -477,9 +493,12 @@ def test_words_and_plans_equal_the_reference_in_both_orders(fixtures_dir):
                     handovers = {i: j for i, j in P.pairs[b] if i != j}
                     assert handovers == dict(zip(droppers, takers)), (M.rows, b, order)
             plans += P is not None
-    # Drop-first accepts all 4,080 5x5s and four fixtures, take-first
-    # 1,800 of the 5x5s and two fixtures; no (6,3) example is accepted.
-    assert plans == 4080 + 4 + 1800 + 2
+    # Drop-first accepts all 4,080 5x5s, four fixtures and the three
+    # stock schemes, take-first 1,800 of the 5x5s, two fixtures and all
+    # but transpose-cyclic; no (6,3) example or random draw is accepted.
+    assert plans == 4080 + 4 + 3 + 1800 + 2 + 2
+    # The (6,3) examples are built from their columns, the rest parsed.
+    assert from_columns == 239 + len(list(fixtures_dir.glob("*.mat"))) + len(deep), from_columns
 
 
 def failing_words_checked(M):

@@ -151,7 +151,15 @@ def test_excess_count_equals_the_reduction_swap_count():
     assert len(schemes) == 4482  # every uniform matrix with n <= 5
     for n in range(1, 26):
         for k in range(1, n + 1):
-            schemes.append(transpose_cyclic_matrix(n, k))
+            schemes += [transpose_cyclic_matrix(n, k), circulant_matrix(n, k)]
+    rng = random.Random(146)
+    drawn = 0
+    while drawn < 200:
+        n = rng.randint(1, 12)
+        M = random_uniform(n, rng.randint(0, n), rng)
+        if decide_optimal(M).optimal:
+            schemes.append(M)
+            drawn += 1
     for M in schemes:
         reduced, removed = reference_reduce(M)
         got, swaps = reduce_scheme(M)
