@@ -48,36 +48,56 @@ def reduce_scheme(M: BinaryScheme) -> tuple[BinaryScheme, int]:
     Raises:
         ValueError: M does not decide optimal.
     """
-    verdict = decide_optimal(M)
-    if not verdict.optimal:
-        raise ValueError(f"scheme is not optimal ({verdict.reason})")
-    masks, cols = list(M.masks), M.col_masks
+    tied = _tied_movers(M)
+    masks = list(M.masks)
     holder = list(range(M.n))  # past the boundary, M's row o is row holder[o]
     removed = 0
-    for b, slices in _ride_slices(cols, M.m - 1):
+    for b, drop, take in tied:
         head = (1 << (b + 1)) - 1  # columns 0..b
-        drop, take = cols[b] & ~cols[b + 1], cols[b + 1] & ~cols[b]
-        for g in _rank_groups(drop | take, slices):
-            if not (g & drop and g & take):
-                continue
-            droppers = sorted((holder[o], o) for o in _mask_rows(g & drop))
-            takers = sorted((holder[o], o) for o in _mask_rows(g & take))
-            for (i1, o1), (i2, o2) in zip(droppers, takers):
-                x = (masks[i1] ^ masks[i2]) & ~head
-                masks[i1] ^= x
-                masks[i2] ^= x
-                holder[o1], holder[o2] = i2, i1
-                removed += 1
+        droppers = sorted((holder[o], o) for o in _mask_rows(drop))
+        takers = sorted((holder[o], o) for o in _mask_rows(take))
+        for (i1, o1), (i2, o2) in zip(droppers, takers):
+            x = (masks[i1] ^ masks[i2]) & ~head
+            masks[i1] ^= x
+            masks[i2] ^= x
+            holder[o1], holder[o2] = i2, i1
+            removed += 1
     return BinaryScheme._from_masks(tuple(masks), M.m), removed
 
 
 def count_excess_handovers(M: BinaryScheme) -> int:
     """The number of removable handovers; the swap count of reduce_scheme.
 
+    Each group of tied movers gives as many swaps as it has droppers
+    or takers, whichever is fewer, so the count needs no swaps.
+
     Raises:
         ValueError: M does not decide optimal.
     """
-    return reduce_scheme(M)[1]
+    return sum(min(drop.bit_count(), take.bit_count()) for _, drop, take in _tied_movers(M))
+
+
+def _tied_movers(M: BinaryScheme) -> list[tuple[int, int, int]]:
+    """The tied movers of each boundary b, as (b, droppers, takers) row masks of M.
+
+    Movers are tied when they have ridden equally often through column
+    b; only groups that hold both kinds are listed, boundary by
+    boundary.
+
+    Raises:
+        ValueError: M does not decide optimal.
+    """
+    verdict = decide_optimal(M)
+    if not verdict.optimal:
+        raise ValueError(f"scheme is not optimal ({verdict.reason})")
+    cols = M.col_masks
+    tied = []
+    for b, slices in _ride_slices(cols, M.m - 1):
+        drop, take = cols[b] & ~cols[b + 1], cols[b + 1] & ~cols[b]
+        for g in _rank_groups(drop | take, slices):
+            if g & drop and g & take:
+                tied.append((b, g & drop, g & take))
+    return tied
 
 
 def count_rides(M: BinaryScheme) -> RideStats:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from typing import Iterable, Sequence
 
 _BINARY = frozenset((0, 1))
@@ -179,7 +179,14 @@ def _row_mask(i: int, row: tuple) -> int:
 
 
 def _mask_rows(x: int) -> list[int]:
-    """The set bits of x, lowest first: the rows a column mask holds."""
+    """The set bits of x, lowest first: the rows a column mask holds.
+
+    A mask with more than one bit set in eight is listed in one pass
+    over its binary digits; a sparser one bit by bit, each step costing
+    a pass over x.  Either way the list is new, for callers to sort.
+    """
+    if x.bit_count() << 3 > x.bit_length():
+        return list(compress(count(), format(x, "b")[::-1].encode().translate(_FROM_DIGITS)))
     rows = []
     while x:
         low = x & -x
@@ -347,13 +354,18 @@ def _read_body(text: str, body: int, n: int, m: int) -> BinaryScheme | None:
 
 def format_scheme(M: BinaryScheme, comment: str | None = None) -> str:
     """Render a scheme in the matrix file format (bit-exact round trip)."""
+    n, m = M.n, M.m
     out = []
     if comment:
         for line in comment.splitlines():
             out.append(f"# {line}".rstrip())
-    out.append(f"{M.n} {M.m}")
-    out.extend(" ".join(row) for row in _digit_rows(M.masks, M.m))
-    return "\n".join(out) + "\n"
+    out.append(f"{n} {m}\n")
+    # Each digit of the body is followed by a space, or by a newline after
+    # a row's last one: the digits fill the even bytes, the separators the odd.
+    body = bytearray(2 * n * m)
+    body[0::2] = "".join(_digit_rows(M.masks, m)).encode()
+    body[1::2] = (b" " * (m - 1) + b"\n") * n
+    return "\n".join(out) + body.decode()
 
 
 def uniformity(M: BinaryScheme) -> UniformityReport:

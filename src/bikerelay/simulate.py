@@ -12,13 +12,16 @@ plan assigns.
 Times and positions are exact.  _stage_ticks states the clock, on
 which both stage durations are whole ticks.  The one executor,
 _execute, counts those ticks and states the service rule once for
-both policies; it numbers bicycles only for a trace (simulate), and
+both policies.  Each traveller's clock is a leg, a start tick and a
+pace that hold until they next drop or take a bicycle, so a post
+costs only its droppers and takers.  Only for a trace (simulate) does
+it tick every traveller at every post and number the bicycles;
 first_stall_ride_index runs it to the end but records only the
-stalls.  simulate turns ticks into Fractions, cohort_profile reads the
-clock off the rows, and write_trace_csv files rows by tick in one pass.
-Simultaneous arrivals (equal ride counts) are exactly the handovers
-the optimality theory relies on, so float rounding would turn ties
-into races and change verdicts.
+stalls.  simulate turns ticks into Fractions, cohort_profile reads
+the clock off the rows, and write_trace_csv files rows by tick in one
+pass.  Simultaneous arrivals (equal ride counts) are exactly the
+handovers the optimality theory relies on, so float rounding would
+turn ties into races and change verdicts.
 """
 
 from __future__ import annotations
@@ -205,9 +208,17 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
     Otherwise givers[j-1] maps each taker to the dropper whose bicycle
     they wait for, the takers are served in row order and drop r is
     when taker r's giver arrives.  Either way taker r leaves at the
-    later of their arrival and drop r.  The clocks advance by one map
-    over each traveller's ticks on the stage, and only the droppers and
-    takers change those ticks and the bicycle list at a post.
+    later of their arrival and drop r.
+
+    Each traveller keeps a leg clock: they reach post p at tick
+    lead[i] + p * step[i] until they next drop or take a bicycle, so
+    only the droppers and takers at a post change it.  A dropper's lead
+    gains j * (ride - walk) there; a taker's lead becomes their
+    departure less j * ride.  Every mover's lead at post j is then
+    their arrival less j * walk, so the movers are ordered and compared
+    on their leads, and a post costs O(movers).  Only a full log keeps
+    every traveller's tick at every post, one map over the steps per
+    post.
 
     Without a log the run stops at the first stall, or at the first
     post with more takers than droppers, and returns False.  With a
@@ -222,9 +233,10 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
     """
     cols, n, m = M.col_masks, M.n, M.m
     full = log is not None and log.full
-    step = [ride if cols[0] >> i & 1 else walk for i in range(n)]  # ticks on the current stage
-    cur = [0] * n  # each traveller's tick at the current post
+    step = [ride if cols[0] >> i & 1 else walk for i in range(n)]  # ticks per stage on the current leg
+    lead = [0] * n  # traveller i reaches post p at lead[i] + p * step[i] on the current leg
     if full:
+        cur = [0] * n  # each traveller's tick at the current post
         bike: list[int | None] = [None] * n
         for b, i in enumerate(_mask_rows(cols[0])):
             bike[i] = b
@@ -233,14 +245,15 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
         if full:
             log.depart.append(cur)  # cur is replaced below, never changed again
             log.bikes.append(bike)
-        cur = list(map(add, cur, step))
-        if full:
+            cur = list(map(add, cur, step))
             log.arrive.append(cur[:])
             if j == m:
                 break
         prev, col = cols[j - 1], cols[j]
         droppers, takers = _mask_rows(prev & ~col), _mask_rows(col & ~prev)
+        gain, here = j * (ride - walk), j * walk  # a mover's lead at post j is their arrival less here
         for i in droppers:
+            lead[i] += gain
             step[i] = walk
         for i in takers:
             step[i] = ride
@@ -255,34 +268,34 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
                 if log is None:
                     return False
                 raise DeadlockError(j)
-            drops = sorted([cur[i] for i in droppers])
-            takers.sort(key=cur.__getitem__)
+            drops = sorted([lead[i] for i in droppers])
+            takers.sort(key=lead.__getitem__)
             if full:
-                droppers.sort(key=cur.__getitem__)
+                droppers.sort(key=lead.__getitem__)
                 parked: list[tuple[int, int]] = []  # (bicycle, giver) heap
                 dropped = 0
         else:
             plan = givers[j - 1]
             if not plan.keys() >= set(takers):
                 raise DeadlockError(j)
-            drops = [cur[plan[i]] for i in takers]
-        for r, t_arr in enumerate([cur[i] for i in takers]):
+            drops = [lead[plan[i]] for i in takers]
+        for r, taker in enumerate(takers):
             # Taker r leaves at the later of their arrival and drop r.
-            dep = drops[r]
+            t_arr, dep = lead[taker], drops[r]
             if dep <= t_arr:
                 dep = t_arr
             elif log is None:
                 return False
             else:
-                taker = takers[r]
                 ride_index = (M.masks[taker] & ((1 << j) - 1)).bit_count() + 1
-                log.stalls.append((t_arr, j, taker, dep - t_arr, ride_index))
-                cur[taker] = dep
+                log.stalls.append((t_arr + here, j, taker, dep - t_arr, ride_index))
+                if full:
+                    cur[taker] = dep + here
+            lead[taker] = dep - gain
             if not full:
                 continue
-            taker = takers[r]
             if givers is None:
-                while dropped < len(droppers) and cur[droppers[dropped]] <= dep:
+                while dropped < len(droppers) and lead[droppers[dropped]] <= dep:
                     giver = droppers[dropped]
                     heappush(parked, (held[giver], giver))
                     dropped += 1
@@ -290,7 +303,7 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
             else:
                 giver = plan[taker]
             bike[taker] = held[giver]
-            log.handovers.append((dep, j, giver, taker, held[giver]))
+            log.handovers.append((dep + here, j, giver, taker, held[giver]))
     return log is None or not log.stalls
 
 

@@ -562,6 +562,46 @@ def test_the_byte_packed_transpose_on_random_shapes_up_to_70(n):
         assert_transposes_naively([(1,) * m] * n)
 
 
+def test_mask_rows_equals_a_bit_by_bit_listing_at_widths_up_to_1100():
+    # Masks whose top bit is bit w-1: no bit, one, either side of the
+    # switch to the one-pass listing (more than one set bit in eight), a
+    # quarter, a half and all of them.
+    rng = random.Random(1100)
+    for w in range(1, 1101):
+        dense = w // 8 + 1  # the fewest set bits listed in one pass
+        masks = {0, 1 << (w - 1), (1 << w) - 1}
+        for c in (1, dense - 1, dense, dense + 1, w // 4, w // 2):
+            if 1 <= c <= w:
+                masks.add(sum(1 << b for b in rng.sample(range(w - 1), c - 1)) | 1 << (w - 1))
+        for x in masks:
+            want = [b for b in range(w) if x >> b & 1]
+            got = scheme._mask_rows(x)
+            assert got == want, (w, x)
+            # Callers sort the list in place, so each call makes a new one.
+            got.reverse()
+            assert scheme._mask_rows(x) == want
+
+
+def reference_format_scheme(M, comment=None):
+    """format_scheme as it was: each row's digits joined by spaces, one line at a time."""
+    out = [f"# {line}".rstrip() for line in (comment or "").splitlines()]
+    out.append(f"{M.n} {M.m}")
+    out.extend(" ".join(str(v) for v in row) for row in M.rows)
+    return "\n".join(out) + "\n"
+
+
+def test_format_scheme_equals_the_row_join_on_every_shape():
+    rng = random.Random(70)
+    shapes = [(1, 1), (1, 2), (1, 70), (2, 1), (70, 1)]
+    shapes += [(rng.randint(1, 70), rng.randint(1, 70)) for _ in range(30)]
+    for n, m in shapes:
+        for rows in (random_rows(rng, n, m), [(0,) * m] * n, [(1,) * m] * n):
+            M = BinaryScheme(rows)
+            for comment in (None, "", "one", "two\n lines ", "\n"):
+                text = format_scheme(M, comment)
+                assert text == reference_format_scheme(M, comment), (n, m, comment)
+
+
 def reference_permute_rows(M, pi):
     if sorted(pi) != list(range(M.n)):
         raise ValueError("pi is not a permutation of the row indices")

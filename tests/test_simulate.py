@@ -16,6 +16,7 @@ from bikerelay import (
     binary_dual,
     block_compose,
     build_assignment_plan,
+    circulant_matrix,
     cohort_profile,
     cyclic_matrix,
     decide_optimal,
@@ -35,7 +36,7 @@ from bikerelay import (
 )
 from bikerelay.optimality import _structural_violation
 from bikerelay.oracle import DEFAULT_SPEED_RATIOS
-from bikerelay.simulate import HandoverEvent, SimulationTrace, StallEvent
+from bikerelay.simulate import HandoverEvent, SimulationTrace, StallEvent, _execute, _Log, _stage_ticks
 
 from reference_listing import reference_enumerate
 
@@ -494,6 +495,72 @@ def test_word_verdict_equals_execution_past_the_exhaustive_range():
     # Both verdicts occur on tall and on wide schemes.
     assert {(True, True, False), (False, True, False)} <= verdicts
     assert {(True, False, True), (False, False, True)} <= verdicts
+
+
+def _stalling_column_permutation(base, rng):
+    """A seeded column permutation of base that decides non-optimal, None after 20 tries."""
+    cols = list(range(base.m))
+    for _ in range(20):
+        rng.shuffle(cols)
+        M = BinaryScheme([[row[c] for c in cols] for row in base.rows])
+        if not decide_optimal(M).optimal:
+            return M
+    return None
+
+
+def test_the_leg_clock_equals_the_full_log_at_large_n():
+    # Outside a full log the executor moves only the droppers' and
+    # takers' clocks at a post; the full log advances every traveller's.
+    # At n = 128 and 256 both reach the same verdict and the same
+    # earliest stall.
+    rng = random.Random(20261020)
+    stalled = 0
+    for n in (128, 256):
+        k = n // 4
+        schemes = [
+            cyclic_matrix(n, n // 2 - 1),
+            transpose_cyclic_matrix(n, k),
+            circulant_matrix(n, k),
+            block_compose(n, k, 1, default_block_cells(n, k, 1)),
+            _stalling_column_permutation(cyclic_matrix(n, n // 3), rng),
+            _stalling_column_permutation(transpose_cyclic_matrix(n, k), rng),
+        ]
+        for M in schemes:
+            for ratio in (Fraction(3, 2), Fraction(2), Fraction(10)):
+                speeds = SpeedModel(1, ratio)
+                trace = simulate(M, speeds)
+                assert is_executable_without_stall(M, speeds) is (trace.stall_events == ()), (n, ratio)
+                want = reference_first_stall_ride_index(trace)
+                assert first_stall_ride_index(M, speeds) == want, (n, ratio)
+                stalled += want is not None
+    assert stalled == 12
+
+
+def test_the_stalls_only_log_equals_the_reference_when_a_traveller_stalls_twice():
+    # After a stall a taker's clock restarts from their departure; a
+    # second stall of theirs shows whether it restarted right.  Every
+    # stage is ridden by k travellers drawn at random, so nobody is left
+    # without a bicycle and the ride counts spread widely.
+    rng = random.Random(2026)
+    twice = 0
+    for _ in range(300):
+        n, m = rng.randint(3, 8), rng.randint(4, 14)
+        k = rng.randint(1, n - 1)
+        cols = [set(rng.sample(range(n), k)) for _ in range(m)]
+        M = BinaryScheme([[int(i in c) for c in cols] for i in range(n)])
+        for speeds in (SpeedModel(1, Fraction(3, 2)), HALF, SpeedModel(1, 10), ODD):
+            want = reference_simulate(M, speeds).stall_events
+            walk, ride, per_unit = _stage_ticks(speeds)
+            log = _Log(full=False)
+            assert _execute(M, walk, ride, log=log) is (want == ())
+            got = tuple(
+                StallEvent(i, j, Fraction(start, per_unit), Fraction(wait, per_unit), ride_index)
+                for start, j, i, wait, ride_index in log.stalls
+            )
+            assert got == want, (M.rows, speeds)
+            travellers = [s.traveller for s in want]
+            twice += len(set(travellers)) < len(travellers)
+    assert twice >= 80, twice
 
 
 def test_plan_policy_agrees_with_greedy_on_optimal(split_riders, handover_free):
