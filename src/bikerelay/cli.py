@@ -30,7 +30,7 @@ from .optimality import (
 from .oracle import (
     DEFAULT_SPEED_RATIOS,
     cross_validate,
-    determinant_exact,
+    cyclic_determinant,
     enumerate_uniform,
 )
 from .reduction import (
@@ -253,7 +253,7 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    value = determinant_exact(cyclic_matrix(args.n, args.k))
+    value = cyclic_determinant(args.n, args.k)
     _emit(
         args,
         [("n", args.n), ("k", args.k), ("det", value), ("abs_det", abs(value))],

@@ -11,8 +11,9 @@ column prefix, and runs simulate's executor at each speed ratio on the
 matrices where that test and the words disagree.  The descent keeps
 its prefix as caps and columns, and builds each matrix it hands out
 from its columns, so a matrix derives its row masks only when read.
-Determinants come from fraction-free elimination, and the cyclic
-family's structure claims are verified on its row and column masks.
+Determinants come from fraction-free elimination, the cyclic
+family's in closed form, and the cyclic family's structure claims are
+verified on its row and column masks.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import comb, gcd
 from operator import le
 from typing import Callable
 
-from .generators import cyclic_matrix
+from .generators import _check_nk, cyclic_matrix
 from .optimality import _is_dyck_at, _scanned_boundaries
 from .scheme import BinaryScheme
 from .simulate import SpeedModel, is_executable_without_stall
@@ -333,6 +334,35 @@ def determinant_exact(M: BinaryScheme) -> int:
             a[r][col] = 0
         prev = a[col][col]
     return sign * a[n - 1][n - 1]
+
+
+def cyclic_determinant(n: int, k: int) -> int:
+    """det cyclic_matrix(n, k) in closed form, in O(n) steps.
+
+    Row i of cyclic(n, k) is row ik mod n of circulant(n, k).  When
+    gcd(n, k) = 1 the circulant's determinant is the product of f(w)
+    over the n-th roots of unity w, with f(x) = 1 + x + ... + x^(k-1):
+    f(1) = k, and the other factors (1 - w^k) / (1 - w) multiply to 1,
+    since w -> w^k permutes them.  So det cyclic(n, k) is k times the
+    sign of i -> ik mod n, which is -1 to the power n less its number of
+    cycles.  When gcd(n, k) > 1 rows repeat and det is 0.
+
+    Raises:
+        ValueError: (n, k) is out of range, as for cyclic_matrix.
+    """
+    _check_nk(n, k)
+    if gcd(n, k) != 1:
+        return 0
+    cycles = 0
+    seen = bytearray(n)
+    for start in range(n):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = 1
+                i = i * k % n
+    return -k if (n - cycles) % 2 else k
 
 
 @dataclass(frozen=True)

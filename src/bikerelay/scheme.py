@@ -10,7 +10,8 @@ and b+1 (0-based everywhere).
 A scheme is stored as one Python int per row, its row mask: bit j of
 masks[i] is entry (i, j), or per column: bit i of col_masks[j] is entry
 (i, j).  The other masks, the row tuples and the line sums are views
-derived on first use and kept from then on.  A parsed scheme holds its
+derived on first use and kept from then on.  The rows view holds one
+tuple per distinct mask: equal rows share it.  A parsed scheme holds its
 column masks and row sums only, so its row masks are a view too, built
 only by what reads them.  Every switch between rows and columns goes
 through one byte-packed transpose: each row is first read as an int
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from itertools import accumulate, compress, count
 from typing import Iterable, Sequence
 
-_BINARY = frozenset((0, 1))
 # Row entries as bytes to the characters '0' and '1', and back.
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -67,10 +67,11 @@ class BinaryScheme:
 
     rows, col_masks, row_sums and col_sums are views: each is computed
     from masks the first time it is read and stored in its slot, so
-    later reads are plain slot reads.  A scheme built from rows keeps
-    them as its rows view.  A parsed scheme holds col_masks and
-    row_sums, and masks is then a view as well, the transpose of
-    col_masks.
+    later reads are plain slot reads.  A derived rows view holds one
+    tuple per distinct mask, shared by the rows equal to it.  A scheme
+    built from rows keeps them as its rows view.  A parsed scheme holds
+    col_masks and row_sums, and masks is then a view as well, the
+    transpose of col_masks.
     """
 
     __slots__ = ("masks", "n", "m", "rows", "col_masks", "row_sums", "col_sums")
@@ -161,21 +162,23 @@ class BinaryScheme:
 
 
 def _row_mask(i: int, row: tuple) -> int:
-    """Validate row i's entries and pack them into a mask, bit j = entry j."""
+    """Validate row i's entries and pack them into a mask, bit j = entry j.
+
+    A row of int entries is read as bytes once: deleting the bytes 0
+    and 1 must leave nothing, and the same bytes, reversed and written
+    as digits, are the mask.  Any other row takes the loop below.
+    """
     try:
-        binary = _BINARY.issuperset(row)
-    except TypeError:  # an unhashable entry
-        binary = False
-    if not binary:
-        # Equality, not hashing, decides what counts as 0 or 1.
+        raw = bytes(row)
+    except (TypeError, ValueError):  # an entry that is no int, or no byte
+        raw = None
+    if raw is None or raw.translate(None, b"\x00\x01"):
+        # Equality, not the bytes, decides what counts as 0 or 1.
         for j, v in enumerate(row):
             if v not in (0, 1):
                 raise ValueError(f"entry ({i},{j}) is {v!r}, expected 0 or 1")
-    try:
-        digits = bytes(row[::-1])
-    except TypeError:  # entries equal to 0 or 1 that are not ints, such as 1.0
-        digits = bytes(v == 1 for v in row[::-1])
-    return int(digits.translate(_TO_DIGITS), 2)
+        raw = bytes(v == 1 for v in row)  # entries equal to 0 or 1, such as 1.0
+    return int(raw[::-1].translate(_TO_DIGITS), 2)
 
 
 def _mask_rows(x: int) -> list[int]:
@@ -196,15 +199,22 @@ def _mask_rows(x: int) -> list[int]:
 
 
 def _digit_rows(masks: tuple[int, ...], m: int) -> list[str]:
-    """Each row as m characters '0' or '1', stage 0 first."""
+    """Each row as m characters '0' or '1', stage 0 first; equal rows share one string."""
     fmt = f"0{m}b"
-    return [format(x, fmt)[::-1] for x in masks]
+    return _per_distinct(masks, lambda x: format(x, fmt)[::-1])
 
 
 def _rows_of(masks: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
+    """The rows view: one tuple per distinct mask, shared by the rows that hold it."""
+    fmt = f"0{m}b"
     return tuple(
-        tuple(row.encode().translate(_FROM_DIGITS)) for row in _digit_rows(masks, m)
+        _per_distinct(masks, lambda x: tuple(format(x, fmt)[::-1].encode().translate(_FROM_DIGITS)))
     )
+
+
+def _per_distinct(masks: tuple[int, ...], f) -> list:
+    """[f(x) for x in masks], with f called once per distinct mask."""
+    return list(map({x: f(x) for x in set(masks)}.__getitem__, masks))
 
 
 def _columns_of(masks: tuple[int, ...], m: int) -> tuple[int, ...]:

@@ -17,7 +17,18 @@ pace that hold until they next drop or take a bicycle, so a post
 costs only its droppers and takers.  Only for a trace (simulate) does
 it tick every traveller at every post and number the bicycles;
 first_stall_ride_index runs it to the end but records only the
-stalls.  simulate turns ticks into Fractions, cohort_profile reads
+stalls.
+
+is_executable_without_stall runs on row classes.  Travellers with
+equal rows start together, and until the first stall nobody waits, so
+they ride and walk the same stages at the same pace and reach every
+post at the same tick; they drop together and, as takers, arrive
+together and leave together.  A run without a log stops at the first
+stall, so up to there one clock per distinct row, weighted by how many
+travellers hold it, decides it, and a post costs its moving classes.
+This holds only without a log: after a stall the members of a class
+part, and a log names travellers, so a run with one keeps one class
+per traveller.  simulate turns ticks into Fractions, cohort_profile reads
 the clock off the rows, and write_trace_csv files rows by tick in one
 pass.  Simultaneous arrivals (equal ride counts) are exactly the
 handovers the optimality theory relies on, so float rounding would
@@ -26,16 +37,17 @@ turn ties into races and change verdicts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate
 from math import gcd, inf
-from operator import add
+from operator import add, eq
 from typing import IO
 
 from .optimality import AssignmentPlan, _structural_violation
-from .scheme import BinaryScheme, _mask_rows
+from .scheme import BinaryScheme, _columns_of, _mask_rows
 
 
 @dataclass(frozen=True)
@@ -204,24 +216,35 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
     j the droppers are C[j-1] & ~C[j] and the takers C[j] & ~C[j-1],
     with C the column masks; everybody else leaves on arrival.  With
     givers None (greedy) the takers are served in (arrival, row) order
-    and drop r is the r-th earliest drop: first come first served.
+    and use up the drops in arrival order: first come first served.
     Otherwise givers[j-1] maps each taker to the dropper whose bicycle
-    they wait for, the takers are served in row order and drop r is
-    when taker r's giver arrives.  Either way taker r leaves at the
-    later of their arrival and drop r.
+    they wait for, the takers are served in row order and each waits
+    for their giver's drop.  Either way a taker leaves at the later of
+    their arrival and the drop they wait for.
 
-    Each traveller keeps a leg clock: they reach post p at tick
-    lead[i] + p * step[i] until they next drop or take a bicycle, so
+    The run goes on classes of travellers, each of a weight.  Without a
+    log a class is a distinct row, weighted by how many travellers hold
+    it, and its columns are the byte-packed transpose of the distinct
+    masks (M's own column masks when every row is distinct).  Travellers
+    with equal rows arrive together at every post until the first
+    stall, and the run stops there, so one clock serves the class.  A
+    greedy taker class of weight w uses up the next w drops in arrival
+    order, and it stalls exactly when the last of them comes after its
+    arrival.  With a log every traveller is a class of weight 1, and
+    drop r is the r-th earliest.
+
+    Each class keeps a leg clock: it reaches post p at tick
+    lead[i] + p * step[i] until it next drops or takes a bicycle, so
     only the droppers and takers at a post change it.  A dropper's lead
     gains j * (ride - walk) there; a taker's lead becomes their
     departure less j * ride.  Every mover's lead at post j is then
     their arrival less j * walk, so the movers are ordered and compared
-    on their leads, and a post costs O(movers).  Only a full log keeps
-    every traveller's tick at every post, one map over the steps per
-    post.
+    on their leads, and a post costs O(moving classes).  Only a full log
+    keeps every traveller's tick at every post, one map over the steps
+    per post.
 
     Without a log the run stops at the first stall, or at the first
-    post with more takers than droppers, and returns False.  With a
+    post whose takers outweigh its droppers, and returns False.  With a
     log it runs to the end and records the stalls.  Only a full log
     (needed for givers) records the rest and numbers the bicycles: 0,
     1, ... over the riders of stage 0 in row order, and a greedy taker
@@ -231,10 +254,16 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
         DeadlockError: with a log, at the first post where a taker has
             no bicycle to wait for.
     """
-    cols, n, m = M.col_masks, M.n, M.m
+    n, m = M.n, M.m
+    ordered = sorted(M.masks) if log is None else ()
+    if any(map(eq, ordered, ordered[1:])):  # some rows repeat
+        classes = Counter(ordered)
+        cols, weight = _columns_of(tuple(classes), m), list(classes.values())
+    else:
+        cols, weight = M.col_masks, [1] * n
     full = log is not None and log.full
-    step = [ride if cols[0] >> i & 1 else walk for i in range(n)]  # ticks per stage on the current leg
-    lead = [0] * n  # traveller i reaches post p at lead[i] + p * step[i] on the current leg
+    step = [ride if cols[0] >> i & 1 else walk for i in range(len(weight))]  # ticks per stage on the current leg
+    lead = [0] * len(weight)  # class i reaches post p at lead[i] + p * step[i] on the current leg
     if full:
         cur = [0] * n  # each traveller's tick at the current post
         bike: list[int | None] = [None] * n
@@ -250,7 +279,8 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
             if j == m:
                 break
         prev, col = cols[j - 1], cols[j]
-        droppers, takers = _mask_rows(prev & ~col), _mask_rows(col & ~prev)
+        moved = prev ^ col
+        droppers, takers = _mask_rows(moved & prev), _mask_rows(moved & col)
         gain, here = j * (ride - walk), j * walk  # a mover's lead at post j is their arrival less here
         for i in droppers:
             lead[i] += gain
@@ -264,29 +294,35 @@ def _execute(M, walk: int, ride: int, givers=None, log: _Log | None = None) -> b
         if not takers:
             continue
         if givers is None:
-            if len(takers) > len(droppers):
-                if log is None:
-                    return False
-                raise DeadlockError(j)
-            drops = sorted([lead[i] for i in droppers])
+            droppers.sort(key=lead.__getitem__)
             takers.sort(key=lead.__getitem__)
+            need = got = used = 0  # weight of takers served, weight and count of drops used
             if full:
-                droppers.sort(key=lead.__getitem__)
                 parked: list[tuple[int, int]] = []  # (bicycle, giver) heap
                 dropped = 0
         else:
             plan = givers[j - 1]
             if not plan.keys() >= set(takers):
                 raise DeadlockError(j)
-            drops = [lead[plan[i]] for i in takers]
-        for r, taker in enumerate(takers):
-            # Taker r leaves at the later of their arrival and drop r.
-            t_arr, dep = lead[taker], drops[r]
-            if dep <= t_arr:
-                dep = t_arr
-            elif log is None:
-                return False
+        for taker in takers:
+            if givers is None:
+                need += weight[taker]
+                while got < need:
+                    if used == len(droppers):  # the takers outweigh the droppers
+                        if log is None:
+                            return False
+                        raise DeadlockError(j)
+                    got += weight[droppers[used]]
+                    used += 1
+                drop = lead[droppers[used - 1]]
             else:
+                drop = lead[plan[taker]]
+            # The taker leaves at the later of their arrival and the drop.
+            t_arr = dep = lead[taker]
+            if drop > t_arr:
+                if log is None:
+                    return False
+                dep = drop
                 ride_index = (M.masks[taker] & ((1 << j) - 1)).bit_count() + 1
                 log.stalls.append((t_arr + here, j, taker, dep - t_arr, ride_index))
                 if full:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import os
 import random
@@ -392,6 +393,43 @@ def test_det_command():
     assert out == "n: 6\nk: 3\ndet: 0\nabs_det: 0\n"
     code, out, _ = invoke("det", "--n", "5", "--k", "2", "--porcelain")
     assert "abs_det: 2" in out
+
+
+def test_det_prints_the_elimination_determinant_up_to_n_40():
+    # det is the closed form; its porcelain is byte for byte what the
+    # elimination on the matrix prints, on every 1 <= n <= 40, 0 <= k <= n.
+    everything = []
+    for n in range(1, 41):
+        for k in range(n + 1):
+            value = oracle.determinant_exact(cyclic_matrix(n, k))
+            code, out, err = invoke("det", "--n", str(n), "--k", str(k), "--porcelain")
+            assert (code, err) == (0, "")
+            assert out == f"n: {n}\nk: {k}\ndet: {value}\nabs_det: {abs(value)}\n", (n, k)
+            everything.append(out)
+    text = "".join(everything)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "84b64d547f5d8ab89c6f9198abe88b542bce4a5028c66ba875e6971b7c53d22e"
+    )
+
+
+def test_det_at_n_1024():
+    # Checked modulo the primes 2**31 - 1 and 2**31 - 19 by elimination.
+    code, out, _ = invoke("det", "--n", "1024", "--k", "511", "--porcelain")
+    assert (code, out) == (0, "n: 1024\nk: 511\ndet: -511\nabs_det: 511\n")
+    code, out, _ = invoke("det", "--n", "1024", "--k", "256", "--porcelain")
+    assert (code, out) == (0, "n: 1024\nk: 256\ndet: 0\nabs_det: 0\n")
+
+
+@pytest.mark.parametrize(
+    "n, k, message",
+    [
+        (0, 0, "error: need at least one traveller, got n=0\n"),
+        (5, -1, "error: k=-1 out of range 0..5\n"),
+        (5, 6, "error: k=6 out of range 0..5\n"),
+    ],
+)
+def test_det_refuses_what_cyclic_matrix_refuses(n, k, message):
+    assert invoke("det", "--n", str(n), "--k", str(k)) == (2, "", message)
 
 
 def test_missing_file_is_exit_2():

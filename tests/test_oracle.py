@@ -13,6 +13,7 @@ from bikerelay import (
     canonical_word,
     cross_validate,
     cyclic_matrix,
+    cyclic_determinant,
     determinant_exact,
     enumerate_uniform,
     is_dyck,
@@ -351,6 +352,18 @@ def test_determinant_exact_hand_values(rows, det):
 def test_determinant_rejects_rectangles():
     with pytest.raises(ValueError):
         determinant_exact(BinaryScheme(((1, 0, 1),)))
+
+
+def test_the_closed_form_cyclic_determinant_equals_elimination():
+    for n in range(1, 31):
+        for k in range(n + 1):
+            assert cyclic_determinant(n, k) == determinant_exact(cyclic_matrix(n, k)), (n, k)
+    for n, k in ((0, 0), (3, -1), (3, 4)):
+        with pytest.raises(ValueError) as exc:
+            cyclic_determinant(n, k)
+        with pytest.raises(ValueError) as want:
+            cyclic_matrix(n, k)
+        assert str(exc.value) == str(want.value)
 
 
 def test_cyclic_determinant_spot_checks():

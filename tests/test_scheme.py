@@ -1,6 +1,8 @@
+import hashlib
 import io
 import random
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -266,6 +268,94 @@ def test_scheme_accepts_true_and_float_one():
     M = BinaryScheme(((True, 0), (1.0, False)))
     assert M == BinaryScheme(((1, 0), (1, 0)))
     assert M.col_sums == (2, 0) and M.row_sums == (1, 1)
+
+
+# Every entry kind the constructor meets: ints 0 and 1 take the bytes
+# check, anything else the loop, which decides by equality.
+ACCEPTED = [(0, 0), (1, 1), (False, 0), (True, 1), (0.0, 0), (1.0, 1), (Fraction(0), 0), (Fraction(1), 1)]
+REJECTED = ["1", "0", None, 2, -1, 256, 0.5, [1], [0]]
+
+
+@pytest.mark.parametrize("entry", ACCEPTED + [(v, None) for v in REJECTED])
+@pytest.mark.parametrize("at", [0, 2, 7])
+def test_the_constructor_takes_each_entry_kind_as_it_did(entry, at):
+    value, bit = entry
+    for other in ((1, 0, 1, 1, 0, 0, 1, 0), (0, 1.0, 1, 0, 0, True, 1, 0)):
+        row = list(other)
+        row[at] = value
+        rows = [(1,) * 8, row, other]
+        if bit is None:
+            with pytest.raises(ValueError) as exc:
+                BinaryScheme(rows)
+            assert str(exc.value) == f"entry (1,{at}) is {value!r}, expected 0 or 1"
+            continue
+        M = BinaryScheme(rows)
+        want = [v == 1 for v in other]
+        want[at] = bit
+        assert M.masks[1] == sum(b << j for j, b in enumerate(want))
+        assert M.rows[1] == tuple(row)
+
+
+def test_the_constructor_reports_the_first_bad_entry():
+    # The bytes of the row are read before the loop finds the entry.
+    for rows, text in (
+        (((0, 1), (2, 256)), "entry (1,0) is 2, expected 0 or 1"),
+        (((0, 1), (1.0, -1)), "entry (1,1) is -1, expected 0 or 1"),
+        (((0, 2), (1, 0, 1)), "entry (0,1) is 2, expected 0 or 1"),
+        (((0, 1), (1, 0, 1)), "row 1 has 3 entries, expected 2"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            BinaryScheme(rows)
+        assert str(exc.value) == text
+
+
+def test_equal_rows_share_one_row_tuple():
+    rng = random.Random(36)
+    cyclic = cyclic_matrix(12, 4)
+    schemes = [transpose_cyclic_matrix(64, 16), cyclic, parse_scheme(format_scheme(cyclic))]
+    for _ in range(50):
+        n, m = rng.randint(1, 40), rng.randint(1, 70)
+        pool = [rng.getrandbits(m) for _ in range(rng.randint(1, 5))]
+        schemes.append(BinaryScheme._from_masks(tuple(rng.choice(pool) for _ in range(n)), m))
+    for M in schemes:
+        assert M.rows == tuple(tuple(x >> j & 1 for j in range(M.m)) for x in M.masks)
+        first = {}
+        for x, row in zip(M.masks, M.rows):
+            assert first.setdefault(x, row) is row
+        assert len({id(row) for row in M.rows}) == len(set(M.masks))
+
+
+def _tall_block(n):
+    k, r = n // 4, n // 16
+    return block_compose(n, k, r, default_block_cells(n, k, r))
+
+
+# sha256 of format_scheme before the digit rows were formatted once per
+# distinct mask.
+FORMATTED = {
+    (16, "tc"): "f0a53d1a4460ac7d3da605b14710cf129d1e7cd04b6ab44497096c831fceb90e",
+    (16, "block"): "06a77ce6786d58706f0f43aaf8ffa4963c8835704d979c62a7f5af226e9cc4a5",
+    (16, "cyclic"): "f022ea9702776d911d2ca8228438cdb30cc9a85904f02f6cd09e0682b4eb7a21",
+    (256, "tc"): "49e6b5a33d6ac35812b41da3fc628a2753daa8b68730df1a51467b382755d3fd",
+    (256, "block"): "2be3d665fd99b3b1b59cb2635e96695a5f6069b4995ad873be0bd73a1cfd6c1b",
+    (256, "cyclic"): "9e9fb82537c6bb4b9e9ae1e3a10b4f6b0a89fb8e07cedc72e8db0866bca7c58a",
+    (1024, "tc"): "ba5dd6fa84f2ef2a53ac54808d596d547fa374ed84d1da4ddc2c773944a48d9a",
+    (1024, "block"): "2bd6ff74638787cc0d86250f823863c71d87dd140020b4f010769d44ccb52e9e",
+    (1024, "cyclic"): "d8c534ef62cc2b8bdb843fcd52f63d4260cb9cde6b5eaab5bef4d017ef41b509",
+}
+
+
+@pytest.mark.parametrize("n", [16, 256, 1024])
+def test_format_scheme_is_byte_identical_on_the_generated_families(n):
+    schemes = {
+        "tc": transpose_cyclic_matrix(n, n // 4),
+        "block": _tall_block(n),
+        "cyclic": cyclic_matrix(n, n // 2 - 1),
+    }
+    for kind, M in schemes.items():
+        text = format_scheme(M)
+        assert hashlib.sha256(text.encode()).hexdigest() == FORMATTED[n, kind], kind
+        assert parse_scheme(text) == M
 
 
 def test_trailing_zero_columns_make_a_different_scheme():

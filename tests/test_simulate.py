@@ -30,6 +30,7 @@ from bikerelay import (
     reduce_scheme,
     reverse_stages,
     simulate,
+    transpose,
     transpose_cyclic_matrix,
     valid_stage_counts,
     write_trace_csv,
@@ -561,6 +562,97 @@ def test_the_stalls_only_log_equals_the_reference_when_a_traveller_stalls_twice(
             travellers = [s.traveller for s in want]
             twice += len(set(travellers)) < len(travellers)
     assert twice >= 80, twice
+
+
+# The greedy check without a log runs on row classes; the reference runs
+# every traveller.  Walk 1 at cycling speeds 3/2, 2 and 10, and ODD.
+CLASS_SPEEDS = tuple(SpeedModel(1, r) for r in DEFAULT_SPEED_RATIOS) + (ODD,)
+
+
+def _assert_stall_free_as_the_reference(M, models=CLASS_SPEEDS):
+    """is_executable_without_stall against reference_simulate at each speed model; how many stall."""
+    stalled = 0
+    for speeds in models:
+        try:
+            want = reference_simulate(M, speeds).stall_events == ()
+        except DeadlockError:
+            want = False
+        assert is_executable_without_stall(M, speeds) is want, (M.rows, speeds)
+        stalled += not want
+    return stalled
+
+
+def test_the_row_class_run_equals_the_reference_on_the_generated_families():
+    # Transpose-cyclic and block schemes hold few distinct rows, each
+    # held by many travellers.  All of them run stall-free.
+    for n in range(1, 25):
+        for k in range(n + 1):
+            M = transpose_cyclic_matrix(n, k)
+            assert _assert_stall_free_as_the_reference(M) == 0, (n, k)
+            for r in (1, 2):
+                M = block_compose(n, k, r, default_block_cells(n, k, r))
+                assert _assert_stall_free_as_the_reference(M) == 0, (n, k, r)
+
+
+def _stacked_uniform(rng):
+    """A uniform scheme whose rows repeat, rows shuffled.
+
+    Two schemes are each 1-4 k-uniform n' x n' blocks side by side; the
+    rows of the first are copied twice, those of the second once or twice.
+    """
+    size = rng.randint(3, 5)
+    k = rng.randint(1, size - 1)
+    blocks = rng.randint(1, 4)
+
+    def wide():
+        parts = [random_uniform(size, k, rng).rows for _ in range(blocks)]
+        return [sum(row, ()) for row in zip(*parts)]
+
+    rows = [*wide() * 2, *wide() * rng.randint(1, 2)]
+    rng.shuffle(rows)
+    return BinaryScheme(rows)
+
+
+def test_the_row_class_run_equals_the_reference_on_schemes_with_repeated_rows():
+    # Each scheme is checked as drawn, after a column shuffle (one the
+    # word test rejects, so it stalls, if 20 tries find one) and after a
+    # row shuffle of that, at one speed model in turn.  Shuffles keep
+    # equal rows equal.
+    rng = random.Random(36)
+    stalled = 0
+    for idx in range(1000):
+        M = _stacked_uniform(rng)
+        assert len(set(M.masks)) < M.n
+        cols = list(range(M.m))
+        for _ in range(20):
+            rng.shuffle(cols)
+            shuffled = BinaryScheme([[row[c] for c in cols] for row in M.rows])
+            if not decide_optimal(shuffled).optimal:
+                break
+        rows = list(range(M.n))
+        rng.shuffle(rows)
+        speeds = CLASS_SPEEDS[idx % len(CLASS_SPEEDS)]
+        for V in (M, shuffled, permute_rows(shuffled, rows)):
+            stalled += _assert_stall_free_as_the_reference(V, (speeds,))
+    assert stalled >= 1000, stalled
+
+
+def test_the_row_class_run_at_n_1024():
+    # Four distinct rows in transpose-cyclic(1024, 256) and in the tall
+    # block; the per-traveller run (the stalls-only log) agrees.
+    n = 1024
+    tc = transpose_cyclic_matrix(n, n // 4)
+    tall = block_compose(n, n // 4, n // 16, default_block_cells(n, n // 4, n // 16))
+    for M in (tc, tall):
+        assert len(set(M.masks)) == 4
+        assert is_executable_without_stall(M) is True
+        assert first_stall_ride_index(M) is None
+    cols = list(range(n))
+    random.Random(1024).shuffle(cols)
+    permuted = transpose(permute_rows(transpose(tc), cols))
+    assert len(set(permuted.masks)) == 4
+    assert is_executable_without_stall(permuted) is False
+    assert first_stall_ride_index(permuted) is not None
 
 
 def test_plan_policy_agrees_with_greedy_on_optimal(split_riders, handover_free):
